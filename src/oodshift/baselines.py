@@ -53,15 +53,15 @@ def mmd(F_tr, F_te, n_sub=2000, rng=None):
     X, Y = X[:n], Y[:n]
 
     pooled = np.concatenate([X, Y])
-    dists = cdist(pooled, pooled)
-    sigma = np.median(dists[np.triu_indices_from(dists, k=1)])
+    d2 = cdist(pooled, pooled, "sqeuclidean")
+    sigma = np.median(np.sqrt(d2[np.triu(np.ones(d2.shape, dtype=bool), k=1)]))
     if sigma <= 0.0:
         sigma = 1.0
 
     gamma = 1.0 / (2.0 * sigma**2)
-    kxx = np.exp(-gamma * cdist(X, X, "sqeuclidean"))
-    kyy = np.exp(-gamma * cdist(Y, Y, "sqeuclidean"))
-    kxy = np.exp(-gamma * cdist(X, Y, "sqeuclidean"))
+    kxx = np.exp(-gamma * d2[:n, :n])
+    kyy = np.exp(-gamma * d2[n:, n:])
+    kxy = np.exp(-gamma * d2[:n, n:])
     # paired unbiased estimator: all i != j terms, diagonals excluded
     off = ~np.eye(n, dtype=bool)
     mmd2 = (kxx[off] + kyy[off] - kxy[off] - kxy.T[off]).sum() / (n * (n - 1))

@@ -276,7 +276,6 @@ def build_parser():
         p.add_argument("--config", help="JSON config file (flags override it)")
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--out", default="out")
-        p.add_argument("--threads", type=int, default=1)
         p.add_argument("--preset", nargs="+", metavar="NAME",
                        help="iid | irm-cmnist | cmnist-rho A B | cmnist-blue | latent-a")
         p.add_argument("--n-per-env", type=int, default=2000)
@@ -296,6 +295,7 @@ def build_parser():
 
     p_sweep = sub.add_parser("sweep", help="grid of estimates over color knobs")
     common(p_sweep)
+    p_sweep.add_argument("--threads", type=int, default=1, help="cells run in parallel")
     p_sweep.add_argument("--axes", choices=("rho", "mu"), default="rho")
     p_sweep.add_argument("--grid", nargs="+", default=["0.1", "0.3", "0.5", "0.7", "0.9"])
     p_sweep.set_defaults(func=cmd_sweep)

@@ -7,7 +7,6 @@ per dimension with a small floor so duplicate points stay finite.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
 _BANDWIDTH_FLOOR = 1e-6
 _STD_FLOOR = 1e-8
@@ -69,7 +68,11 @@ def kde_fit(F, bandwidth_scale=1.0, std=None):
 
 
 def kde_logpdf(model, Z, chunk=256):
-    """Log-density at query points (log-sum-exp over kernel centers)."""
+    """Log-density at query points (log-sum-exp over kernel centers).
+
+    Each chunk of queries is scored in one preallocated (chunk, k) buffer,
+    so the per-call working set is a single kernel block.
+    """
     Z = np.asarray(Z, dtype=np.float64)
     single = Z.ndim == 1
     if single:
@@ -77,17 +80,36 @@ def kde_logpdf(model, Z, chunk=256):
     if Z.shape[1] != model.dim:
         raise ValueError(f"query dim {Z.shape[1]} != model dim {model.dim}")
     scaled_pts = model.points / model.bandwidth
+    pts_sq = np.sum(scaled_pts**2, axis=1)
     out = np.empty(Z.shape[0])
+    rows = min(chunk, Z.shape[0])
+    buf = np.empty((rows, scaled_pts.shape[0]))
+    is_max = np.empty(buf.shape, dtype=bool)
     for start in range(0, Z.shape[0], chunk):
         zs = Z[start : start + chunk] / model.bandwidth
-        # squared distances via (a-b)^2 = a^2 - 2ab + b^2
-        d2 = (
-            np.sum(zs**2, axis=1)[:, None]
-            - 2.0 * zs @ scaled_pts.T
-            + np.sum(scaled_pts**2, axis=1)[None, :]
-        )
-        np.maximum(d2, 0.0, out=d2)
-        out[start : start + chunk] = logsumexp(-0.5 * d2, axis=1)
+        a, top = buf[: zs.shape[0]], is_max[: zs.shape[0]]
+        # a = -0.5 * d2 with d2 = |z|^2 - 2 z.p + |p|^2, clamped at 0
+        np.matmul(2.0 * zs, scaled_pts.T, out=a)
+        np.subtract(np.sum(zs**2, axis=1)[:, None], a, out=a)
+        a += pts_sq
+        np.maximum(a, 0.0, out=a)
+        a *= -0.5
+        # scipy.special.logsumexp's arithmetic, in this order, so that the
+        # output stays bit-identical to it: the m entries equal to the row
+        # max leave the sum, which is then log1p(s / m) + log(m) + max; a
+        # row whose distances all overflowed to inf gives -inf, as scipy's
+        a_max = a.max(axis=1, keepdims=True)
+        np.equal(a, a_max, out=top)
+        m = np.count_nonzero(top, axis=1).astype(np.float64)
+        np.copyto(a, -np.inf, where=top)
+        with np.errstate(invalid="ignore"):
+            a -= a_max
+        np.exp(a, out=a)
+        s = a.sum(axis=1)
+        a_max = a_max[:, 0]
+        lse = np.log1p(s / m) + np.log(m) + a_max
+        lse[a_max == -np.inf] = -np.inf
+        out[start : start + chunk] = lse
     out += model.log_norm_const
     return out[0] if single else out
 

@@ -188,15 +188,12 @@ def estimate_pipeline(ds, mlp_cfg, est_cfg, base_seed):
     run_diags = []
     for run in range(est_cfg.n_runs):
         rng = Rng(base_seed + run)
-        try:
-            model = train(ds, mlp_cfg, rng)
-            F = extract(model, ds.features)
-            tr = ds.envs == 0
-            d_div, d_cor, diag = estimate(
-                F[tr], F[~tr], ds.labels[tr], ds.labels[~tr], est_cfg, rng
-            )
-        except Exception as exc:
-            raise RuntimeError(f"run {run} (seed {base_seed + run}) failed: {exc}") from exc
+        model = train(ds, mlp_cfg, rng)
+        F = extract(model, ds.features)
+        tr = ds.envs == 0
+        d_div, d_cor, diag = estimate(
+            F[tr], F[~tr], ds.labels[tr], ds.labels[~tr], est_cfg, rng
+        )
         per_run.append((d_div, d_cor))
         val_accs.append(model.val_accuracy)
         run_diags.append(diag)

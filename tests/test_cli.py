@@ -195,3 +195,26 @@ def test_bad_grid_value_exit_2(tmp_path):
     rc = main(["sweep", "--preset", "iid", "--grid", "0.1", "1.5",
                "--out", str(tmp_path / "out")])
     assert rc == 2
+
+
+def test_underpopulated_class_in_csv_exit_2(tmp_path, capsys):
+    # 40 rows, 3 features; class 1 has a single row in env 0
+    rows = ["env,label,x0,x1,x2"]
+    for i in range(40):
+        env, label = divmod(i, 20)
+        label = int(i == 0) if env == 0 else label % 2
+        rows.append(f"{env},{label},{i * 0.1:.1f},{(i * 7) % 5:.1f},{(i * 3) % 11:.1f}")
+    data = tmp_path / "thin.csv"
+    data.write_text("\n".join(rows) + "\n")
+    rc = main(["estimate", "--data", str(data), "--iters", "10",
+               "--out", str(tmp_path / "out")])
+    assert rc == 2
+    assert "underpopulated" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["estimate", "compare"])
+def test_threads_only_on_sweep(tmp_path, command):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--threads", "2", "--preset", "iid", "--n-per-env", "50",
+              "--iters", "5", "--out", str(tmp_path / "out")])
+    assert exc.value.code == 2

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy.special import logsumexp
 
 from oodshift import (
     Rng,
@@ -137,6 +138,47 @@ def test_kde_chunking_consistent():
     assert np.allclose(
         kde_logpdf(model, q, chunk=256), kde_logpdf(model, q, chunk=7), atol=1e-12
     )
+
+
+def _reference_logpdf(model, Z, chunk=256):
+    # the chunked distance formula plus scipy's log-sum-exp, which
+    # kde_logpdf reproduces bit for bit
+    scaled_pts = model.points / model.bandwidth
+    out = np.empty(Z.shape[0])
+    for start in range(0, Z.shape[0], chunk):
+        zs = Z[start : start + chunk] / model.bandwidth
+        d2 = (
+            np.sum(zs**2, axis=1)[:, None]
+            - 2.0 * zs @ scaled_pts.T
+            + np.sum(scaled_pts**2, axis=1)[None, :]
+        )
+        np.maximum(d2, 0.0, out=d2)
+        out[start : start + chunk] = logsumexp(-0.5 * d2, axis=1)
+    return out + model.log_norm_const
+
+
+@pytest.mark.parametrize("dim", [1, 8])
+@pytest.mark.parametrize("n_query", [1, 255, 256, 257])
+def test_kde_logpdf_bit_identical_to_scipy_logsumexp(dim, n_query):
+    r = Rng(20 + dim)
+    pts = r.normal(size=(300, dim))
+    pts[1] = pts[0]  # a duplicated centre: its queries tie at the row max
+    model = kde_fit(pts)
+    Z = r.normal(0.0, 2.0, (n_query, dim))
+    Z[0] = pts[0]
+    if n_query > 1:
+        Z[-1] = pts.max(axis=0) + 100 * model.bandwidth  # far from every centre
+    assert np.array_equal(kde_logpdf(model, Z), _reference_logpdf(model, Z))
+
+
+def test_kde_logpdf_overflowing_query_is_minus_inf():
+    # every squared distance overflows to inf, so the row max is -inf
+    model = kde_fit(Rng(24).normal(size=(50, 2)))
+    Z = np.full((3, 2), 1e200)
+    with np.errstate(over="ignore"):
+        log_p = kde_logpdf(model, Z)
+        assert np.array_equal(log_p, _reference_logpdf(model, Z))
+    assert (log_p == -np.inf).all()
 
 
 # ---------------------------------------------------------------------------
