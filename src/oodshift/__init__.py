@@ -2,7 +2,7 @@
 environments, with synthetic generators, baseline metrics, and benchmark
 ranking scores."""
 
-from .data import LabeledDataset, Rng, load_csv, load_idx, save_csv, split_train_val
+from .data import LabeledDataset, Rng, load_csv, save_csv, split_train_val
 from .datagen import (
     ColoredSpec,
     LatentSpec,
@@ -23,7 +23,7 @@ from .estimator import (
     oracle_shift,
     sweep,
 )
-from .baselines import MetricReport, compare_table, emd, mmd, ni
+from .baselines import compare_table, emd, mmd, ni
 from .benchscore import (
     AccuracyTable,
     cell_score,
@@ -33,5 +33,17 @@ from .benchscore import (
     ranking_scores,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [
+    "LabeledDataset", "Rng", "load_csv", "save_csv", "split_train_val",
+    "ColoredSpec", "LatentSpec", "gen_colored", "gen_latent", "irm_colored_default",
+    "latent_spec_a", "latent_spec_tv", "random_latent_spec",
+    "KdeModel", "Standardizer", "fit_standardizer", "kde_fit", "kde_logpdf", "kde_pdf",
+    "kde_sample",
+    "ExtractorModel", "MlpConfig", "extract", "grad_check", "train",
+    "EstimatorConfig", "ShiftEstimate", "estimate", "estimate_pipeline", "oracle_shift",
+    "sweep",
+    "compare_table", "emd", "mmd", "ni",
+    "AccuracyTable", "cell_score", "cell_scores", "load_accuracy_table", "load_fixture",
+    "ranking_scores",
+]
 __version__ = "0.1.0"

@@ -5,7 +5,7 @@ diversity/correlation decomposition; they conflate the two kinds of shift.
 """
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
@@ -13,19 +13,7 @@ from scipy.spatial.distance import cdist
 
 from .data import Rng
 from .datagen import gen_colored
-from .estimator import estimate_pipeline
-
-
-@dataclass(frozen=True)
-class MetricReport:
-    emd: float
-    emd_stderr: float
-    mmd: float
-    mmd_stderr: float
-    ni: float
-    ni_stderr: float
-    n_tr: int
-    n_te: int
+from .estimator import _mean_stderr, estimate_pipeline
 
 
 def _subsample(F, size, rng):
@@ -110,53 +98,30 @@ def ni(ds):
 
 
 def compare_table(specs, mlp_cfg, est_cfg, base_seed, n_sub=512):
-    """One row per spec: baseline metrics plus the shift decomposition,
-    each averaged over est_cfg.n_runs freshly generated datasets."""
-    rows = []
+    """One record per spec, keyed by the compare.csv columns: rho_te, the
+    blue flag, then each baseline metric and each shift with its standard
+    error over est_cfg.n_runs freshly generated datasets."""
+    est_cfg.validate()
+    one = replace(est_cfg, n_runs=1)
+    records = []
     for s_idx, spec in enumerate(specs):
-        emds, mmds, nis = [], [], []
-        shift_runs = []
-        n_tr = n_te = 0
+        runs = []
         for run in range(est_cfg.n_runs):
             seed = base_seed + 100000 * s_idx + 1000 * run
             rng = Rng(seed)
             ds = gen_colored(spec, rng)
             tr = ds.envs == 0
             F_tr, F_te = ds.features[tr], ds.features[~tr]
-            n_tr, n_te = F_tr.shape[0], F_te.shape[0]
-            emds.append(emd(F_tr, F_te, n_sub, rng))
-            mmds.append(mmd(F_tr, F_te, n_sub, rng))
-            nis.append(ni(ds))
-            one = replace(est_cfg, n_runs=1)
-            shift_runs.append(estimate_pipeline(ds, mlp_cfg, one, seed + 1).per_run[0])
-
-        def agg(vals):
-            vals = np.asarray(vals)
-            se = vals.std(ddof=1) / math.sqrt(len(vals)) if len(vals) > 1 else 0.0
-            return float(vals.mean()), float(se)
-
-        emd_m, emd_se = agg(emds)
-        mmd_m, mmd_se = agg(mmds)
-        ni_m, ni_se = agg(nis)
-        div_m, div_se = agg([r[0] for r in shift_runs])
-        cor_m, cor_se = agg([r[1] for r in shift_runs])
-        rows.append(
-            {
-                "spec": spec,
-                "metrics": MetricReport(
-                    emd=emd_m,
-                    emd_stderr=emd_se,
-                    mmd=mmd_m,
-                    mmd_stderr=mmd_se,
-                    ni=ni_m,
-                    ni_stderr=ni_se,
-                    n_tr=n_tr,
-                    n_te=n_te,
-                ),
-                "d_div": div_m,
-                "d_div_stderr": div_se,
-                "d_cor": cor_m,
-                "d_cor_stderr": cor_se,
-            }
-        )
-    return rows
+            runs.append((
+                emd(F_tr, F_te, n_sub, rng),
+                mmd(F_tr, F_te, n_sub, rng),
+                ni(ds),
+                *estimate_pipeline(ds, mlp_cfg, one, seed + 1).per_run[0],
+            ))
+        mean, stderr = _mean_stderr(np.asarray(runs, dtype=np.float64))
+        record = {"rho_te": spec.rho_te, "blue": int(spec.mu_te > 0)}
+        for name, m, se in zip(("emd", "mmd", "ni", "d_div", "d_cor"), mean, stderr):
+            record[name] = float(m)
+            record[f"{name}_stderr"] = float(se)
+        records.append(record)
+    return records

@@ -63,21 +63,35 @@ def _load_config(path):
     return doc
 
 
+def _config_block(config, name, target, cli_set=()):
+    """The config file's `name` block, checked to be a JSON object whose keys
+    are fields of the dataclass `target`, other than those the CLI sets."""
+    block = config.get(name, {})
+    if not isinstance(block, dict):
+        raise UserError(f"config block {name!r} must be a JSON object")
+    allowed = {f.name for f in dataclasses.fields(target)} - set(cli_set)
+    for key in block:
+        if key not in allowed:
+            raise UserError(f"config block {name!r} has unsupported key {key!r}")
+    return dict(block)
+
+
 def _merged_spec(args, config):
     kind = "colored"
+    overrides = _config_block(config, "spec", ColoredSpec)
     if args.preset:
         kind, spec = _preset(args.preset, args.n_per_env)
     elif "spec" in config:
-        spec = ColoredSpec(**config["spec"])
+        spec = ColoredSpec(**overrides)
     else:
         raise UserError("no dataset spec: pass --preset or a config with a 'spec' block")
     if kind == "colored" and "spec" in config and args.preset:
-        spec = dataclasses.replace(spec, **config["spec"])
+        spec = dataclasses.replace(spec, **overrides)
     return kind, spec
 
 
 def _mlp_config(in_dim, n_classes, config, args):
-    fields = dict(config.get("mlp", {}))
+    fields = _config_block(config, "mlp", MlpConfig, ("in_dim", "n_classes"))
     if getattr(args, "iters", None) is not None:
         fields["iters"] = args.iters
     if "hidden_dims" in fields:
@@ -86,7 +100,7 @@ def _mlp_config(in_dim, n_classes, config, args):
 
 
 def _est_config(config, args):
-    fields = dict(config.get("estimator", {}))
+    fields = _config_block(config, "estimator", EstimatorConfig)
     if getattr(args, "runs", None) is not None:
         fields["n_runs"] = args.runs
     if getattr(args, "mc_samples", None) is not None:
@@ -224,18 +238,12 @@ def cmd_compare(args):
     rows = baselines.compare_table(specs, mlp_cfg, est_cfg, args.seed)
     _log(out, f"compare: {len(rows)} rows in {time.time() - t0:.1f}s")
     with open(out / "compare.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([
+        writer = csv.DictWriter(fh, fieldnames=[
             "rho_te", "blue", "emd", "emd_stderr", "mmd", "mmd_stderr",
             "ni", "ni_stderr", "d_div", "d_div_stderr", "d_cor", "d_cor_stderr",
         ])
-        for row in rows:
-            spec, m = row["spec"], row["metrics"]
-            writer.writerow([
-                spec.rho_te, int(spec.mu_te > 0), m.emd, m.emd_stderr,
-                m.mmd, m.mmd_stderr, m.ni, m.ni_stderr,
-                row["d_div"], row["d_div_stderr"], row["d_cor"], row["d_cor_stderr"],
-            ])
+        writer.writeheader()
+        writer.writerows(rows)
     print(f"wrote {len(rows)} rows to {out / 'compare.csv'}")
     return 0
 

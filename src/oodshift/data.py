@@ -1,7 +1,6 @@
-"""Dataset container, seeded RNG, and CSV/IDX file I/O."""
+"""Dataset container, seeded RNG, and CSV file I/O."""
 
 import csv
-import struct
 import warnings
 from dataclasses import dataclass, field
 
@@ -136,45 +135,6 @@ def save_csv(ds, path):
         writer.writerow(["env", "label"] + [f"x{i}" for i in range(ds.n_dims)])
         for env, label, feats in zip(ds.envs, ds.labels, ds.features):
             writer.writerow([int(env), int(label)] + [f"{v:.17g}" for v in feats])
-
-
-_IDX_IMAGES_MAGIC = 0x00000803
-_IDX_LABELS_MAGIC = 0x00000801
-
-
-def load_idx(images_path, labels_path):
-    """Load MNIST-style IDX image/label files.
-
-    Pixels are scaled to [0, 1]; the env column is set to 0 (callers assign
-    environments afterwards).
-    """
-    with open(images_path, "rb") as fh:
-        blob = fh.read()
-    if len(blob) < 16:
-        raise ParseError(f"{images_path}: truncated header")
-    magic, n, rows, cols = struct.unpack(">IIII", blob[:16])
-    if magic != _IDX_IMAGES_MAGIC:
-        raise ParseError(f"{images_path}: unexpected IDX magic 0x{magic:08x}")
-    if len(blob) != 16 + n * rows * cols:
-        raise ParseError(f"{images_path}: truncated payload")
-    images = np.frombuffer(blob, dtype=np.uint8, offset=16).reshape(n, rows * cols)
-
-    with open(labels_path, "rb") as fh:
-        blob = fh.read()
-    if len(blob) < 8:
-        raise ParseError(f"{labels_path}: truncated header")
-    magic, n_labels = struct.unpack(">II", blob[:8])
-    if magic != _IDX_LABELS_MAGIC:
-        raise ParseError(f"{labels_path}: unexpected IDX magic 0x{magic:08x}")
-    if len(blob) != 8 + n_labels:
-        raise ParseError(f"{labels_path}: truncated payload")
-    if n_labels != n:
-        raise ParseError(f"image/label count mismatch: {n} images, {n_labels} labels")
-    labels = np.frombuffer(blob, dtype=np.uint8, offset=8).astype(np.int64)
-
-    return LabeledDataset(
-        images.astype(np.float64) / 255.0, labels, np.zeros(n, dtype=np.int64)
-    )
 
 
 def split_train_val(ds, frac, rng):

@@ -31,7 +31,6 @@ class ColoredSpec:
     sigma_te: float = 0.0
     label_noise: float = 0.25
     n_per_env: int = 2000
-    use_real_mnist: bool = False
     image_side: int = 14
 
     def validate(self):
@@ -49,10 +48,6 @@ class ColoredSpec:
 
     def to_json(self):
         return json.dumps(asdict(self), indent=2, sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text):
-        return cls(**json.loads(text))
 
 
 def irm_colored_default(n_per_env=2000):
@@ -84,17 +79,7 @@ def _truncated_normal(mu, sigma, n, rng):
     return out
 
 
-def _downsample(images, src_side, dst_side):
-    if src_side == dst_side:
-        return images
-    if src_side % dst_side != 0:
-        raise ValueError(f"cannot downsample {src_side} -> {dst_side}")
-    f = src_side // dst_side
-    imgs = images.reshape(-1, dst_side, f, dst_side, f)
-    return imgs.mean(axis=(2, 4)).reshape(-1, dst_side * dst_side)
-
-
-def gen_colored(spec, rng, mnist=None):
+def gen_colored(spec, rng):
     """Generate a two-environment colored-digit dataset.
 
     Each row is a flattened 3-channel image (red, green, blue blocks of
@@ -102,26 +87,14 @@ def gen_colored(spec, rng, mnist=None):
     with probability label_noise; the active color channel agrees with the
     label with probability 1 - rho_e. Blue intensity b is drawn from a
     truncated Gaussian and painted onto the digit while the active channel
-    is attenuated by the same amount.
-
-    When spec.use_real_mnist is set, `mnist` must be a LabeledDataset of
-    grayscale digits (e.g. from load_idx); otherwise fixed random class
-    prototypes plus pixel noise stand in for the digits.
+    is attenuated by the same amount. Fixed random class prototypes plus
+    pixel noise stand in for the digits.
     """
     spec.validate()
     side = spec.image_side
     npix = side * side
 
-    if spec.use_real_mnist:
-        if mnist is None:
-            raise ValueError("use_real_mnist requires a source digit dataset")
-        src_side = int(round(np.sqrt(mnist.n_dims)))
-        if src_side * src_side != mnist.n_dims:
-            raise ValueError("source digit images must be square")
-        pool = _downsample(mnist.features, src_side, side)
-        pool_digits = mnist.labels
-    else:
-        prototypes = rng.uniform(0.0, 1.0, (10, npix))
+    prototypes = rng.uniform(0.0, 1.0, (10, npix))
 
     env_params = [
         (0, spec.rho_tr, spec.mu_tr, spec.sigma_tr),
@@ -130,14 +103,9 @@ def gen_colored(spec, rng, mnist=None):
     features, labels, envs = [], [], []
     for env, rho, mu, sigma in env_params:
         n = spec.n_per_env
-        if spec.use_real_mnist:
-            idx = rng.integers(0, len(pool), n)
-            base = pool[idx]
-            digits = pool_digits[idx]
-        else:
-            digits = rng.integers(0, 10, n)
-            base = prototypes[digits] + rng.normal(0.0, 0.1, (n, npix))
-            base = np.clip(base, 0.0, 1.0)
+        digits = rng.integers(0, 10, n)
+        base = prototypes[digits] + rng.normal(0.0, 0.1, (n, npix))
+        base = np.clip(base, 0.0, 1.0)
         label = (digits >= 5).astype(np.int64)
         flip = rng.uniform(size=n) < spec.label_noise
         label = np.where(flip, 1 - label, label)
@@ -229,10 +197,6 @@ class LatentSpec:
             indent=2,
             sort_keys=True,
         )
-
-    @classmethod
-    def from_json(cls, text):
-        return cls(**json.loads(text))
 
 
 def latent_spec_a():

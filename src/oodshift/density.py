@@ -21,9 +21,6 @@ class Standardizer:
     def apply(self, F):
         return (np.asarray(F) - self.mean) / self.std
 
-    def invert(self, F):
-        return np.asarray(F) * self.std + self.mean
-
 
 def fit_standardizer(F):
     F = np.asarray(F, dtype=np.float64)

@@ -8,7 +8,6 @@ NumPy with hand-derived backprop so gradients can be finite-difference
 checked.
 """
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -34,6 +33,8 @@ class MlpConfig:
             raise ValueError("in_dim and n_classes must be >= 1")
         if self.feature_dim < 1 or self.iters < 1 or self.batch_per_env < 1:
             raise ValueError("feature_dim, iters, batch_per_env must be >= 1")
+        if self.checkpoint_every < 1:
+            raise ValueError("checkpoint_every must be >= 1")
         if self.lr <= 0:
             raise ValueError("lr must be > 0")
 
@@ -276,49 +277,3 @@ def grad_check(cfg, rng, batch_size=8, step=1e-5):
             max_err = max(max_err, err)
     return max_err
 
-
-def save_model(model, path):
-    """Serialize a model as JSON (shapes plus flat weight arrays)."""
-    def layers_doc(layers):
-        return [
-            {
-                "w_shape": list(W.shape),
-                "w": [float(f"{v:.17g}") for v in W.reshape(-1)],
-                "b": [float(f"{v:.17g}") for v in b],
-            }
-            for W, b in layers
-        ]
-
-    doc = {
-        "in_dim": model.in_dim,
-        "n_classes": model.n_classes,
-        "feature_dim": model.feature_dim,
-        "val_accuracy": model.val_accuracy,
-        "g_layers": layers_doc(model.g_layers),
-        "h_layers": layers_doc(model.h_layers),
-    }
-    with open(path, "w") as fh:
-        json.dump(doc, fh, sort_keys=True)
-
-
-def load_model(path):
-    with open(path) as fh:
-        doc = json.load(fh)
-
-    def layers_from(docs):
-        return [
-            [
-                np.array(entry["w"]).reshape(entry["w_shape"]),
-                np.array(entry["b"]),
-            ]
-            for entry in docs
-        ]
-
-    return ExtractorModel(
-        g_layers=layers_from(doc["g_layers"]),
-        h_layers=layers_from(doc["h_layers"]),
-        in_dim=doc["in_dim"],
-        n_classes=doc["n_classes"],
-        feature_dim=doc["feature_dim"],
-        val_accuracy=doc["val_accuracy"],
-    )

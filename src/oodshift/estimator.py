@@ -27,7 +27,6 @@ class EstimatorConfig:
     eps_cor: float = 5e-4
     n_runs: int = 5
     bandwidth_scale: float = 0.7
-    resample_per_class: bool = False
 
     def validate(self):
         if self.n_mc_samples < 1:
@@ -36,6 +35,8 @@ class EstimatorConfig:
             raise ValueError("need 0 < eps_div < eps_cor")
         if self.n_runs < 1:
             raise ValueError("n_runs must be >= 1")
+        if not self.bandwidth_scale > 0.0:
+            raise ValueError("bandwidth_scale must be > 0")
 
 
 @dataclass
@@ -124,29 +125,16 @@ def estimate(F_tr, F_te, labels_tr, labels_te, cfg, rng):
     half_ratio = 0.5 * (log_q - log_p)  # log sqrt(q/p)
     d_cor = 0.0
     for cls in classes:
-        if cfg.resample_per_class:
-            draws_y = kde_sample(w_hat, M, rng)
-            log_w_y = np.maximum(kde_logpdf(w_hat, draws_y), _LOG_DENSITY_FLOOR)
-            log_p_y_all = kde_logpdf(p_hat, draws_y)
-            log_q_y_all = kde_logpdf(q_hat, draws_y)
-            mask = (np.exp(log_p_y_all) > cfg.eps_cor) & (
-                np.exp(log_q_y_all) > cfg.eps_cor
-            )
-            ratio = 0.5 * (log_q_y_all - log_p_y_all)
-            wv = np.exp(log_w_y)
-            pts = draws_y
-        else:
-            mask, ratio, wv, pts = cor_mask, half_ratio, w_vals, draws
-        if not mask.any():
+        if not cor_mask.any():
             continue
         p_y = kde_fit(S_tr[labels_tr == cls], scale, std=1.0)
         q_y = kde_fit(S_te[labels_te == cls], scale, std=1.0)
-        log_py = kde_logpdf(p_y, pts[mask])
-        log_qy = kde_logpdf(q_y, pts[mask])
+        log_py = kde_logpdf(p_y, draws[cor_mask])
+        log_qy = kde_logpdf(q_y, draws[cor_mask])
         term = np.abs(
-            np.exp(log_py + ratio[mask]) - np.exp(log_qy - ratio[mask])
+            np.exp(log_py + half_ratio[cor_mask]) - np.exp(log_qy - half_ratio[cor_mask])
         )
-        d_cor += float((term / wv[mask]).sum())
+        d_cor += float((term / w_vals[cor_mask]).sum())
     d_cor /= 2.0 * M * n_classes
 
     diagnostics = {
@@ -158,14 +146,20 @@ def estimate(F_tr, F_te, labels_tr, labels_te, cfg, rng):
     return d_div, d_cor, diagnostics
 
 
-def _aggregate(per_run, diagnostics):
-    arr = np.asarray(per_run, dtype=np.float64)
+def _mean_stderr(arr):
+    """Column means and ddof=1 standard errors of the mean over the rows
+    (runs) of a 2-D array; the standard error of a single run is 0."""
     n = arr.shape[0]
-    mean = arr.mean(axis=0)
     if n > 1:
         stderr = arr.std(axis=0, ddof=1) / math.sqrt(n)
     else:
-        stderr = np.zeros(2)
+        stderr = np.zeros(arr.shape[1])
+    return arr.mean(axis=0), stderr
+
+
+def _aggregate(per_run, diagnostics):
+    arr = np.asarray(per_run, dtype=np.float64)
+    mean, stderr = _mean_stderr(arr)
     return ShiftEstimate(
         d_div=float(mean[0]),
         d_cor=float(mean[1]),

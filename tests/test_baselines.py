@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy.spatial.distance import cdist
 
-from oodshift import ColoredSpec, LabeledDataset, Rng, emd, mmd, ni
+from oodshift import ColoredSpec, LabeledDataset, Rng, emd, gen_colored, mmd, ni
 from oodshift.baselines import compare_table
 from oodshift import EstimatorConfig, MlpConfig
 
@@ -143,11 +143,18 @@ def test_compare_table_rows_and_averaging():
     est = EstimatorConfig(n_runs=2, n_mc_samples=500)
     rows = compare_table(specs, mlp, est, base_seed=60, n_sub=60)
     assert len(rows) == 2
+    assert [(r["rho_te"], r["blue"]) for r in rows] == [(0.9, 0), (0.1, 1)]
     for row in rows:
-        m = row["metrics"]
-        assert m.emd >= 0.0 and m.mmd >= 0.0 and m.ni >= 0.0
-        assert m.n_tr == m.n_te == 60
+        assert row["emd"] >= 0.0 and row["mmd"] >= 0.0 and row["ni"] >= 0.0
         assert row["d_div"] >= 0.0 and row["d_cor"] >= 0.0
     # the blue-disjoint row must dwarf the rho-only row on every raw metric
-    assert rows[1]["metrics"].emd > rows[0]["metrics"].emd
-    assert rows[1]["metrics"].mmd > rows[0]["metrics"].mmd
+    assert rows[1]["emd"] > rows[0]["emd"]
+    assert rows[1]["mmd"] > rows[0]["mmd"]
+    # each row is the mean and ddof=1 stderr over runs seeded base + 1000 * run
+    emds = []
+    for run in range(2):
+        rng = Rng(60 + 1000 * run)
+        ds = gen_colored(specs[0], rng)
+        emds.append(emd(ds.features[ds.envs == 0], ds.features[ds.envs == 1], 60, rng))
+    assert rows[0]["emd"] == np.mean(emds)
+    assert rows[0]["emd_stderr"] == np.std(emds, ddof=1) / math.sqrt(2)

@@ -128,6 +128,37 @@ def test_sweep_grid_csv(tmp_path):
 
 
 # ---------------------------------------------------------------------------
+# compare
+
+
+def test_compare_csv_rows_and_rerun_identical(tmp_path):
+    def run(name):
+        out = tmp_path / name
+        rc = main([
+            "compare", "--n-per-env", "60", "--iters", "20", "--runs", "2",
+            "--mc-samples", "200", "--seed", "3", "--out", str(out),
+        ])
+        assert rc == 0
+        return out / "compare.csv"
+
+    first = run("run1")
+    with open(first, newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0] == [
+        "rho_te", "blue", "emd", "emd_stderr", "mmd", "mmd_stderr",
+        "ni", "ni_stderr", "d_div", "d_div_stderr", "d_cor", "d_cor_stderr",
+    ]
+    assert [row[1] for row in rows[1:]] == ["0"] * 5 + ["1"]
+    assert first.read_bytes() == run("run2").read_bytes()
+
+
+def test_compare_zero_runs_exit_2(tmp_path, capsys):
+    rc = main(["compare", "--runs", "0", "--out", str(tmp_path / "out")])
+    assert rc == 2
+    assert "n_runs" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
 # score
 
 
@@ -218,3 +249,25 @@ def test_threads_only_on_sweep(tmp_path, command):
         main([command, "--threads", "2", "--preset", "iid", "--n-per-env", "50",
               "--iters", "5", "--out", str(tmp_path / "out")])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("doc, culprit", [
+    ({"estimator": {"n_run": 2}}, "'n_run'"),
+    ({"spec": {"rho": 0.3}}, "'rho'"),
+    ({"mlp": [1]}, "'mlp'"),
+    ({"mlp": {"in_dim": 5}}, "'in_dim'"),
+    ({"estimator": {"resample_per_class": True}}, "'resample_per_class'"),
+    ({"spec": {"use_real_mnist": True}}, "'use_real_mnist'"),
+    ({"mlp": {"checkpoint_every": 0}}, "checkpoint_every"),
+    ({"estimator": {"bandwidth_scale": -1}}, "bandwidth_scale"),
+])
+def test_bad_config_block_exit_2(tmp_path, capsys, doc, culprit):
+    rc = main([
+        "estimate", "--preset", "latent-a", "--n-per-env", "50", "--iters", "5",
+        "--runs", "1", "--mc-samples", "100", "--config", _write_config(tmp_path, doc),
+        "--out", str(tmp_path / "out"),
+    ])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert culprit in err

@@ -1,12 +1,11 @@
 """Tests for the dataset container, seeded RNG, and file I/O."""
 
-import struct
 import warnings
 
 import numpy as np
 import pytest
 
-from oodshift import LabeledDataset, Rng, load_csv, load_idx, save_csv, split_train_val
+from oodshift import LabeledDataset, Rng, load_csv, save_csv, split_train_val
 from oodshift.data import ParseError
 
 
@@ -155,66 +154,6 @@ def test_csv_inconsistent_width_names_line(tmp_path):
     path.write_text("env,label,x0,x1\n0,0,1.0,2.0\n0,0,1.0\n")
     with pytest.raises(ParseError, match="line 3"):
         load_csv(path)
-
-
-# ---------------------------------------------------------------------------
-# IDX I/O
-
-
-def _write_idx(tmp_path, images, labels, image_magic=0x803, label_magic=0x801,
-               n_labels=None):
-    n, rows, cols = images.shape
-    img_path = tmp_path / "imgs.idx"
-    with open(img_path, "wb") as fh:
-        fh.write(struct.pack(">IIII", image_magic, n, rows, cols))
-        fh.write(images.astype(np.uint8).tobytes())
-    lbl_path = tmp_path / "lbls.idx"
-    with open(lbl_path, "wb") as fh:
-        fh.write(struct.pack(">II", label_magic, n_labels if n_labels is not None else n))
-        fh.write(labels.astype(np.uint8).tobytes())
-    return img_path, lbl_path
-
-
-def test_idx_load(tmp_path):
-    images = np.arange(2 * 4 * 4, dtype=np.uint8).reshape(2, 4, 4)
-    labels = np.array([3, 7], dtype=np.uint8)
-    img_path, lbl_path = _write_idx(tmp_path, images, labels)
-    ds = load_idx(img_path, lbl_path)
-    assert ds.n_rows == 2
-    assert ds.n_dims == 16
-    assert ds.features.max() <= 1.0 and ds.features.min() >= 0.0
-    assert np.array_equal(ds.labels, [3, 7])
-    assert np.array_equal(ds.envs, [0, 0])
-    assert ds.features[1, 0] == images[1, 0, 0] / 255.0
-
-
-def test_idx_wrong_magic(tmp_path):
-    images = np.zeros((1, 2, 2), dtype=np.uint8)
-    labels = np.zeros(1, dtype=np.uint8)
-    img_path, lbl_path = _write_idx(tmp_path, images, labels, image_magic=0x802)
-    with pytest.raises(ParseError, match="unexpected IDX magic"):
-        load_idx(img_path, lbl_path)
-
-
-def test_idx_count_mismatch(tmp_path):
-    images = np.zeros((10, 2, 2), dtype=np.uint8)
-    labels = np.zeros(9, dtype=np.uint8)
-    img_path, lbl_path = _write_idx(tmp_path, images, labels, n_labels=9)
-    with pytest.raises(ParseError, match="count mismatch"):
-        load_idx(img_path, lbl_path)
-
-
-def test_idx_truncated_payload(tmp_path):
-    img_path = tmp_path / "imgs.idx"
-    with open(img_path, "wb") as fh:
-        fh.write(struct.pack(">IIII", 0x803, 5, 4, 4))
-        fh.write(b"\x00" * 10)  # far fewer than 5*16 bytes
-    lbl_path = tmp_path / "lbls.idx"
-    with open(lbl_path, "wb") as fh:
-        fh.write(struct.pack(">II", 0x801, 5))
-        fh.write(b"\x00" * 5)
-    with pytest.raises(ParseError, match="truncated"):
-        load_idx(img_path, lbl_path)
 
 
 # ---------------------------------------------------------------------------

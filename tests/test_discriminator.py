@@ -19,8 +19,6 @@ from oodshift.discriminator import (
     _Adam,
     _cell_indices,
     _sample_batch,
-    load_model,
-    save_model,
 )
 
 
@@ -201,23 +199,10 @@ def test_extract_dim_mismatch():
         extract(model, np.zeros((4, 2)))
 
 
-# ---------------------------------------------------------------------------
-# serialization
-
-
-def test_model_save_load_round_trip(tmp_path):
-    ds = _latent_ds(0.7, n=200)
-    cfg = MlpConfig(in_dim=1, n_classes=2, iters=50, hidden_dims=(8,))
-    model = train(ds, cfg, Rng(14))
-    path = tmp_path / "model.json"
-    save_model(model, path)
-    back = load_model(path)
-    assert np.allclose(extract(model, ds), extract(back, ds), atol=0, rtol=0)
-    assert back.val_accuracy == model.val_accuracy
-
-
 def test_config_validation():
     with pytest.raises(ValueError):
         MlpConfig(in_dim=0, n_classes=2).validate()
     with pytest.raises(ValueError):
         MlpConfig(in_dim=1, n_classes=2, lr=0.0).validate()
+    with pytest.raises(ValueError, match="checkpoint_every"):
+        MlpConfig(in_dim=1, n_classes=2, checkpoint_every=0).validate()

@@ -33,6 +33,9 @@ def test_config_validation():
         EstimatorConfig(eps_div=1e-3, eps_cor=1e-4).validate()
     with pytest.raises(ValueError):
         EstimatorConfig(n_runs=0).validate()
+    for scale in (0.0, -1.0, float("nan")):
+        with pytest.raises(ValueError, match="bandwidth_scale"):
+            EstimatorConfig(bandwidth_scale=scale).validate()
 
 
 def test_config_defaults():
@@ -133,16 +136,6 @@ def test_estimate_nonnegative():
     F_tr, F_te, y_tr, y_te = _latent_features(seed=8)
     d_div, d_cor, _ = estimate(F_tr, F_te, y_tr, y_te, EstimatorConfig(n_runs=1), Rng(9))
     assert d_div >= 0.0 and d_cor >= 0.0
-
-
-def test_estimate_resample_per_class_agrees():
-    F_tr, F_te, y_tr, y_te = _latent_features()
-    base = EstimatorConfig(n_runs=1)
-    strict = EstimatorConfig(n_runs=1, resample_per_class=True)
-    d1 = estimate(F_tr, F_te, y_tr, y_te, base, Rng(10))
-    d2 = estimate(F_tr, F_te, y_tr, y_te, strict, Rng(10))
-    # same estimator in expectation; generous Monte Carlo band
-    assert d1[1] == pytest.approx(d2[1], abs=0.05)
 
 
 def test_estimate_rejects_dim_mismatch():
