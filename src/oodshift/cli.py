@@ -63,29 +63,47 @@ def _load_config(path):
     return doc
 
 
+def _is_int(value):
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+# the JSON values each dataclass field type accepts, and how to name them
+_JSON_TYPES = {
+    int: (_is_int, "an integer"),
+    float: (lambda v: _is_int(v) or isinstance(v, float), "a number"),
+    tuple: (lambda v: isinstance(v, list) and all(map(_is_int, v)), "a list of integers"),
+}
+
+_SPEC_ONLY_COLORED = "config block 'spec' applies only to colored-digit presets"
+
+
 def _config_block(config, name, target, cli_set=()):
     """The config file's `name` block, checked to be a JSON object whose keys
-    are fields of the dataclass `target`, other than those the CLI sets."""
+    are fields of the dataclass `target`, other than those the CLI sets, and
+    whose values have the JSON type of their field."""
     block = config.get(name, {})
     if not isinstance(block, dict):
         raise UserError(f"config block {name!r} must be a JSON object")
-    allowed = {f.name for f in dataclasses.fields(target)} - set(cli_set)
-    for key in block:
-        if key not in allowed:
+    types = {f.name: f.type for f in dataclasses.fields(target) if f.name not in cli_set}
+    for key, value in block.items():
+        if key not in types:
             raise UserError(f"config block {name!r} has unsupported key {key!r}")
+        accepts, kind = _JSON_TYPES[types[key]]
+        if not accepts(value):
+            raise UserError(f"config block {name!r} key {key!r} must be {kind}, got {value!r}")
     return dict(block)
 
 
 def _merged_spec(args, config):
-    kind = "colored"
     overrides = _config_block(config, "spec", ColoredSpec)
-    if args.preset:
-        kind, spec = _preset(args.preset, args.n_per_env)
-    elif "spec" in config:
-        spec = ColoredSpec(**overrides)
-    else:
-        raise UserError("no dataset spec: pass --preset or a config with a 'spec' block")
-    if kind == "colored" and "spec" in config and args.preset:
+    if not args.preset:
+        if "spec" not in config:
+            raise UserError("no dataset spec: pass --preset or a config with a 'spec' block")
+        return "colored", ColoredSpec(**overrides)
+    kind, spec = _preset(args.preset, args.n_per_env)
+    if "spec" in config:
+        if kind != "colored":
+            raise UserError(_SPEC_ONLY_COLORED)
         spec = dataclasses.replace(spec, **overrides)
     return kind, spec
 
@@ -132,6 +150,8 @@ def _log(out, message):
 
 def _build_dataset(args, config):
     if getattr(args, "data", None):
+        if "spec" in config:
+            raise UserError(_SPEC_ONLY_COLORED)
         return load_csv(args.data), {"data": args.data}
     kind, spec = _merged_spec(args, config)
     rng = Rng(args.seed)
@@ -219,6 +239,8 @@ def cmd_sweep(args):
 
 def cmd_compare(args):
     config = _load_config(args.config)
+    if "spec" in config:
+        raise UserError(_SPEC_ONLY_COLORED)
     out = _prepare_out(args)
     rho_tes = [0.9, 0.7, 0.5, 0.3, 0.1]
     specs = [

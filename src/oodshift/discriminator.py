@@ -33,6 +33,8 @@ class MlpConfig:
             raise ValueError("in_dim and n_classes must be >= 1")
         if self.feature_dim < 1 or self.iters < 1 or self.batch_per_env < 1:
             raise ValueError("feature_dim, iters, batch_per_env must be >= 1")
+        if any(d < 1 for d in self.hidden_dims) or self.cls_hidden_dim < 0:
+            raise ValueError("hidden_dims must be >= 1 and cls_hidden_dim >= 0")
         if self.checkpoint_every < 1:
             raise ValueError("checkpoint_every must be >= 1")
         if self.lr <= 0:
@@ -50,23 +52,36 @@ class ExtractorModel:
     loss_curve: list = field(default_factory=list)
 
 
-def _glorot(rng, fan_in, fan_out):
-    limit = np.sqrt(6.0 / (fan_in + fan_out))
-    W = rng.uniform(-limit, limit, (fan_in, fan_out))
-    b = np.zeros(fan_out)
-    return [W, b]
+def _flat_layers(cfg):
+    """A zeroed flat buffer and the [W, b] views of the g and h layers in it.
+
+    Parameters and gradients share this layout, so Adam updates every layer
+    in one elementwise pass over flat buffers.
+    """
+    g_dims = [cfg.in_dim, *cfg.hidden_dims, cfg.feature_dim]
+    h_in = cfg.feature_dim + cfg.n_classes
+    h_dims = [h_in, cfg.cls_hidden_dim, 1] if cfg.cls_hidden_dim > 0 else [h_in, 1]
+    shapes = [list(zip(dims, dims[1:])) for dims in (g_dims, h_dims)]
+    flat = np.zeros(sum((a + 1) * b for dims in shapes for a, b in dims))
+    stacks, start = [], 0
+    for dims in shapes:
+        layers = []
+        for fan_in, fan_out in dims:
+            W = flat[start : start + fan_in * fan_out].reshape(fan_in, fan_out)
+            start += fan_in * fan_out
+            layers.append([W, flat[start : start + fan_out]])
+            start += fan_out
+        stacks.append(layers)
+    return flat, *stacks
 
 
 def _init_params(cfg, rng):
-    g_dims = [cfg.in_dim, *cfg.hidden_dims, cfg.feature_dim]
-    g_layers = [_glorot(rng, a, b) for a, b in zip(g_dims, g_dims[1:])]
-    h_in = cfg.feature_dim + cfg.n_classes
-    if cfg.cls_hidden_dim > 0:
-        h_dims = [h_in, cfg.cls_hidden_dim, 1]
-    else:
-        h_dims = [h_in, 1]
-    h_layers = [_glorot(rng, a, b) for a, b in zip(h_dims, h_dims[1:])]
-    return g_layers, h_layers
+    """Glorot-uniform weights and zero biases, laid out by _flat_layers."""
+    flat, g_layers, h_layers = _flat_layers(cfg)
+    for W, _ in g_layers + h_layers:
+        limit = np.sqrt(6.0 / sum(W.shape))
+        W[...] = rng.uniform(-limit, limit, W.shape)
+    return flat, g_layers, h_layers
 
 
 def _mlp_forward(layers, x):
@@ -80,16 +95,21 @@ def _mlp_forward(layers, x):
     return a, caches
 
 
-def _mlp_backward(layers, caches, dout):
-    """Backprop dout (grad w.r.t. the linear output) through the stack."""
-    grads = [None] * len(layers)
-    delta = dout
+def _mlp_backward(layers, caches, dout, grads):
+    """Backprop dout (grad w.r.t. the linear output) through the stack.
+
+    Each layer's weight and bias gradient is written into its [gW, gb] view
+    in `grads`. Returns the grad w.r.t. the first layer's pre-activation;
+    carrying it on to the stack's input is left to a caller that needs it.
+    """
+    dz = dout
     for i in reversed(range(len(layers))):
-        a_in, z = caches[i]
-        dz = delta if i == len(layers) - 1 else delta * (z > 0.0)
-        grads[i] = [a_in.T @ dz, dz.sum(axis=0)]
-        delta = dz @ layers[i][0].T
-    return grads, delta
+        gW, gb = grads[i]
+        np.matmul(caches[i][0].T, dz, out=gW)
+        np.sum(dz, axis=0, out=gb)
+        if i > 0:
+            dz = (dz @ layers[i][0].T) * (caches[i - 1][1] > 0.0)
+    return dz
 
 
 def _forward_logit(g_layers, h_layers, x, y_onehot):
@@ -104,44 +124,64 @@ def _bce_loss(logits, envs):
     return float(np.mean(np.logaddexp(0.0, logits) - envs * logits))
 
 
-def _loss_and_grads(g_layers, h_layers, x, y_onehot, envs):
+def _loss_and_grads(g_layers, h_layers, x, y_onehot, envs, g_grads, h_grads):
+    """BCE loss of one batch; writes every gradient into g_grads/h_grads."""
     n = x.shape[0]
     logits, (g_caches, h_caches) = _forward_logit(g_layers, h_layers, x, y_onehot)
     loss = _bce_loss(logits, envs)
     dlogit = ((1.0 / (1.0 + np.exp(-logits))) - envs) / n
-    h_grads, du = _mlp_backward(h_layers, h_caches, dlogit[:, None])
+    dz = _mlp_backward(h_layers, h_caches, dlogit[:, None], h_grads)
+    du = dz @ h_layers[0][0].T
     m = g_layers[-1][0].shape[1]
-    g_grads, _ = _mlp_backward(g_layers, g_caches, du[:, :m])
-    return loss, g_grads, h_grads
+    _mlp_backward(g_layers, g_caches, du[:, :m], g_grads)
+    return loss
+
+
+# float64 elements per Adam block: 256 KiB, so that a block and its two
+# scratch blocks stay in cache across the 14 passes of one update
+_ADAM_BLOCK = 32_768
 
 
 class _Adam:
-    """Standard Adam (beta1=0.9, beta2=0.999, eps=1e-8)."""
+    """Standard Adam (beta1=0.9, beta2=0.999, eps=1e-8) over flat buffers.
 
-    def __init__(self, params, lr, beta1=0.9, beta2=0.999, eps=1e-8):
-        self.params = params
+    `step` reads `grads` and updates `params` in place, block by block
+    through two scratch blocks of its own, so a step allocates nothing. It
+    rounds as m = b1*m + (1-b1)*g, v = b2*v + ((1-b2)*g)*g and
+    p -= (lr*(m/b1t)) / (sqrt(v/b2t) + eps) do, one operation at a time.
+    """
+
+    def __init__(self, params, grads, lr, beta1=0.9, beta2=0.999, eps=1e-8):
         self.lr, self.beta1, self.beta2, self.eps = lr, beta1, beta2, eps
-        self.m = [np.zeros_like(p) for p in params]
-        self.v = [np.zeros_like(p) for p in params]
+        m, v = np.zeros_like(params), np.zeros_like(params)
+        s, r = np.empty((2, min(_ADAM_BLOCK, params.size)))
+        self.blocks = []
+        for start in range(0, params.size, _ADAM_BLOCK):
+            blk = slice(start, start + _ADAM_BLOCK)
+            n = params[blk].size
+            self.blocks.append((params[blk], grads[blk], m[blk], v[blk], s[:n], r[:n]))
         self.t = 0
 
-    def step(self, grads):
+    def step(self):
         self.t += 1
-        b1t = 1.0 - self.beta1**self.t
-        b2t = 1.0 - self.beta2**self.t
-        for p, g, m, v in zip(self.params, grads, self.m, self.v):
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * g * g
-            p -= self.lr * (m / b1t) / (np.sqrt(v / b2t) + self.eps)
-
-
-def _flatten(g_layers, h_layers):
-    out = []
-    for W, b in g_layers + h_layers:
-        out.extend([W, b])
-    return out
+        b1, b2 = self.beta1, self.beta2
+        b1t = 1.0 - b1**self.t
+        b2t = 1.0 - b2**self.t
+        for p, g, m, v, s, r in self.blocks:
+            m *= b1
+            np.multiply(g, 1.0 - b1, out=s)
+            m += s
+            v *= b2
+            np.multiply(g, 1.0 - b2, out=s)
+            s *= g
+            v += s
+            np.divide(m, b1t, out=s)
+            s *= self.lr
+            np.divide(v, b2t, out=r)
+            np.sqrt(r, out=r)
+            r += self.eps
+            s /= r
+            p -= s
 
 
 def _cell_indices(labels, envs, n_classes):
@@ -196,30 +236,30 @@ def train(ds, cfg, rng):
         x_val, y_val = val_ds.features, eye[val_ds.labels]
         e_val = val_ds.envs.astype(np.int64)
 
-    g_layers, h_layers = _init_params(cfg, rng)
-    opt = _Adam(_flatten(g_layers, h_layers), cfg.lr)
+    params, g_layers, h_layers = _init_params(cfg, rng)
+    grads, g_grads, h_grads = _flat_layers(cfg)
+    opt = _Adam(params, grads, cfg.lr)
 
     best_acc = -1.0
     best_params = None
     loss_curve = []
     for t in range(1, cfg.iters + 1):
         idx = _sample_batch(cells, cfg.n_classes, cfg.batch_per_env, rng)
-        loss, g_grads, h_grads = _loss_and_grads(
-            g_layers, h_layers, x_tr[idx], y_tr[idx], e_tr[idx]
+        loss = _loss_and_grads(
+            g_layers, h_layers, x_tr[idx], y_tr[idx], e_tr[idx], g_grads, h_grads
         )
         if not np.isfinite(loss):
             raise RuntimeError(f"non-finite loss at step {t}")
         loss_curve.append(loss)
-        opt.step(_flatten(g_grads, h_grads))
+        opt.step()
         if val_ds is not None and (t % cfg.checkpoint_every == 0 or t == cfg.iters):
             acc = _accuracy(g_layers, h_layers, x_val, y_val, e_val)
             if acc > best_acc:
                 best_acc = acc
-                best_params = [p.copy() for p in _flatten(g_layers, h_layers)]
+                best_params = params.copy()
 
     if best_params is not None:
-        for p, saved in zip(_flatten(g_layers, h_layers), best_params):
-            p[...] = saved
+        params[...] = best_params
     else:
         best_acc = float("nan")
 
@@ -257,23 +297,20 @@ def grad_check(cfg, rng, batch_size=8, step=1e-5):
     x = rng.normal(0.0, 1.0, (batch_size, cfg.in_dim))
     y = np.eye(cfg.n_classes)[rng.integers(0, cfg.n_classes, batch_size)]
     e = rng.integers(0, 2, batch_size).astype(np.float64)
-    g_layers, h_layers = _init_params(cfg, rng)
-    _, g_grads, h_grads = _loss_and_grads(g_layers, h_layers, x, y, e)
+    params, g_layers, h_layers = _init_params(cfg, rng)
+    grads, g_grads, h_grads = _flat_layers(cfg)
+    _loss_and_grads(g_layers, h_layers, x, y, e, g_grads, h_grads)
 
     max_err = 0.0
-    analytic = _flatten(g_grads, h_grads)
-    for p, grad in zip(_flatten(g_layers, h_layers), analytic):
-        flat_p = p.reshape(-1)
-        flat_g = grad.reshape(-1)
-        for i in range(flat_p.size):
-            orig = flat_p[i]
-            flat_p[i] = orig + step
-            lo_hi = _bce_loss(_forward_logit(g_layers, h_layers, x, y)[0], e)
-            flat_p[i] = orig - step
-            lo_lo = _bce_loss(_forward_logit(g_layers, h_layers, x, y)[0], e)
-            flat_p[i] = orig
-            numeric = (lo_hi - lo_lo) / (2.0 * step)
-            err = abs(numeric - flat_g[i]) / max(1.0, abs(numeric) + abs(flat_g[i]))
-            max_err = max(max_err, err)
+    for i in range(params.size):
+        orig = params[i]
+        params[i] = orig + step
+        lo_hi = _bce_loss(_forward_logit(g_layers, h_layers, x, y)[0], e)
+        params[i] = orig - step
+        lo_lo = _bce_loss(_forward_logit(g_layers, h_layers, x, y)[0], e)
+        params[i] = orig
+        numeric = (lo_hi - lo_lo) / (2.0 * step)
+        err = abs(numeric - grads[i]) / max(1.0, abs(numeric) + abs(grads[i]))
+        max_err = max(max_err, err)
     return max_err
 

@@ -260,6 +260,9 @@ def test_threads_only_on_sweep(tmp_path, command):
     ({"spec": {"use_real_mnist": True}}, "'use_real_mnist'"),
     ({"mlp": {"checkpoint_every": 0}}, "checkpoint_every"),
     ({"estimator": {"bandwidth_scale": -1}}, "bandwidth_scale"),
+    ({"mlp": {"iters": "x"}}, "'mlp' key 'iters'"),
+    ({"mlp": {"hidden_dims": 5}}, "'mlp' key 'hidden_dims'"),
+    ({"mlp": {"hidden_dims": [-3]}}, "hidden_dims must be >= 1"),
 ])
 def test_bad_config_block_exit_2(tmp_path, capsys, doc, culprit):
     rc = main([
@@ -271,3 +274,21 @@ def test_bad_config_block_exit_2(tmp_path, capsys, doc, culprit):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert culprit in err
+
+
+@pytest.mark.parametrize("command", ["generate-latent", "estimate-data", "compare"])
+def test_spec_block_without_colored_preset_exit_2(tmp_path, capsys, command):
+    data = tmp_path / "gen" / "data.csv"
+    assert main(["generate", "--preset", "latent-a", "--n-per-env", "20",
+                 "--out", str(data.parent)]) == 0
+    argv = {
+        "generate-latent": ["generate", "--preset", "latent-a", "--n-per-env", "20"],
+        "estimate-data": ["estimate", "--data", str(data), "--iters", "5"],
+        "compare": ["compare", "--n-per-env", "20", "--iters", "5"],
+    }[command]
+    config = _write_config(tmp_path, {"spec": {"rho_te": 0.5}})
+    rc = main([*argv, "--config", config, "--out", str(tmp_path / "out")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err == "error: config block 'spec' applies only to colored-digit presets\n"
+    assert not (tmp_path / "out" / "spec.json").exists()

@@ -5,19 +5,25 @@ import pytest
 
 from oodshift import (
     ColoredSpec,
+    LabeledDataset,
     MlpConfig,
     Rng,
     extract,
     gen_colored,
     gen_latent,
     grad_check,
+    irm_colored_default,
     latent_spec_tv,
+    split_train_val,
     train,
 )
 from oodshift.discriminator import (
     ExtractorModel,
     _Adam,
+    _accuracy,
+    _bce_loss,
     _cell_indices,
+    _forward_logit,
     _sample_batch,
 )
 
@@ -29,12 +35,128 @@ from oodshift.discriminator import (
 def test_adam_matches_hand_trace():
     # minimize f(theta) = theta^2 from theta=1 with lr=0.1; the three
     # iterates below were computed by hand in 40-digit decimal arithmetic
-    theta = np.array([1.0])
-    opt = _Adam([theta], lr=0.1)
+    theta, grad = np.array([1.0]), np.zeros(1)
+    opt = _Adam(theta, grad, lr=0.1)
     expected = [0.9000000005, 0.8004122286917921, 0.7015862729460295]
     for want in expected:
-        opt.step([2.0 * theta])
+        grad[...] = 2.0 * theta
+        opt.step()
         assert theta[0] == pytest.approx(want, abs=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# reference training: per-array parameters, Adam state and gradients, with
+# fresh arrays every step; train must reproduce it bit for bit
+
+
+class _ReferenceAdam:
+    def __init__(self, params, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+        self.params = params
+        self.lr, self.beta1, self.beta2, self.eps = lr, beta1, beta2, eps
+        self.m = [np.zeros_like(p) for p in params]
+        self.v = [np.zeros_like(p) for p in params]
+        self.t = 0
+
+    def step(self, grads):
+        self.t += 1
+        b1t = 1.0 - self.beta1**self.t
+        b2t = 1.0 - self.beta2**self.t
+        for p, g, m, v in zip(self.params, grads, self.m, self.v):
+            m *= self.beta1
+            m += (1.0 - self.beta1) * g
+            v *= self.beta2
+            v += (1.0 - self.beta2) * g * g
+            p -= self.lr * (m / b1t) / (np.sqrt(v / b2t) + self.eps)
+
+
+def _reference_backward(layers, caches, dout):
+    grads = [None] * len(layers)
+    delta = dout
+    for i in reversed(range(len(layers))):
+        a_in, z = caches[i]
+        dz = delta if i == len(layers) - 1 else delta * (z > 0.0)
+        grads[i] = [a_in.T @ dz, dz.sum(axis=0)]
+        delta = dz @ layers[i][0].T
+    return grads, delta
+
+
+def _reference_glorot_stack(rng, dims):
+    layers = []
+    for fan_in, fan_out in zip(dims, dims[1:]):
+        limit = np.sqrt(6.0 / (fan_in + fan_out))
+        layers.append([rng.uniform(-limit, limit, (fan_in, fan_out)), np.zeros(fan_out)])
+    return layers
+
+
+def _reference_train(ds, cfg, rng):
+    train_ds, val_ds = split_train_val(ds, cfg.train_frac, rng)
+    cells = _cell_indices(train_ds.labels, train_ds.envs, cfg.n_classes)
+    eye = np.eye(cfg.n_classes)
+    x_tr, y_tr = train_ds.features, eye[train_ds.labels]
+    e_tr = train_ds.envs.astype(np.float64)
+    x_val, y_val = val_ds.features, eye[val_ds.labels]
+    e_val = val_ds.envs.astype(np.int64)
+
+    g_layers = _reference_glorot_stack(rng, [cfg.in_dim, *cfg.hidden_dims, cfg.feature_dim])
+    h_in = cfg.feature_dim + cfg.n_classes
+    h_dims = [h_in, cfg.cls_hidden_dim, 1] if cfg.cls_hidden_dim > 0 else [h_in, 1]
+    h_layers = _reference_glorot_stack(rng, h_dims)
+    params = [p for layer in g_layers + h_layers for p in layer]
+    opt = _ReferenceAdam(params, cfg.lr)
+
+    best_acc, best_params, loss_curve = -1.0, None, []
+    for t in range(1, cfg.iters + 1):
+        idx = _sample_batch(cells, cfg.n_classes, cfg.batch_per_env, rng)
+        x, y, e = x_tr[idx], y_tr[idx], e_tr[idx]
+        logits, (g_caches, h_caches) = _forward_logit(g_layers, h_layers, x, y)
+        loss_curve.append(_bce_loss(logits, e))
+        dlogit = ((1.0 / (1.0 + np.exp(-logits))) - e) / x.shape[0]
+        h_grads, du = _reference_backward(h_layers, h_caches, dlogit[:, None])
+        g_grads, _ = _reference_backward(g_layers, g_caches, du[:, : cfg.feature_dim])
+        opt.step([g for layer in g_grads + h_grads for g in layer])
+        if t % cfg.checkpoint_every == 0 or t == cfg.iters:
+            acc = _accuracy(g_layers, h_layers, x_val, y_val, e_val)
+            if acc > best_acc:
+                best_acc, best_params = acc, [p.copy() for p in params]
+    for p, saved in zip(params, best_params):
+        p[...] = saved
+    return g_layers, h_layers, best_acc, loss_curve
+
+
+def _three_class_ds(n=600, dim=3, seed=30):
+    r = Rng(seed)
+    labels = r.integers(0, 3, n)
+    envs = np.arange(n) % 2
+    features = r.normal(0.0, 1.0, (n, dim)) + labels[:, None] + 0.5 * envs[:, None]
+    return LabeledDataset(features, labels, envs, n_classes=3)
+
+
+@pytest.mark.parametrize("case", ["colored-default", "colored-small", "linear-head",
+                                  "three-classes", "in-dim-1"])
+def test_train_bit_identical_to_reference(case):
+    if case.startswith("colored"):
+        ds = gen_colored(irm_colored_default(300), Rng(31))
+    elif case == "three-classes":
+        ds = _three_class_ds()
+    else:
+        ds = _latent_ds(0.7, n=600, seed=32)
+    cfg = {
+        # 588-256-256-8 spans seven Adam blocks, the last one partial
+        "colored-default": dict(iters=60, checkpoint_every=20),
+        "colored-small": dict(hidden_dims=(16,), iters=200, checkpoint_every=25),
+        "linear-head": dict(hidden_dims=(8,), cls_hidden_dim=0, iters=200,
+                            checkpoint_every=25),
+        "three-classes": dict(hidden_dims=(12, 6), iters=200, checkpoint_every=25),
+        "in-dim-1": dict(hidden_dims=(32,), iters=200, checkpoint_every=25),
+    }[case]
+    cfg = MlpConfig(in_dim=ds.n_dims, n_classes=ds.n_classes, **cfg)
+    model = train(ds, cfg, Rng(33))
+    g_ref, h_ref, acc_ref, curve_ref = _reference_train(ds, cfg, Rng(33))
+    assert len(model.g_layers) == len(g_ref) and len(model.h_layers) == len(h_ref)
+    for got, want in zip(model.g_layers + model.h_layers, g_ref + h_ref):
+        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+    assert model.loss_curve == curve_ref
+    assert model.val_accuracy == acc_ref
 
 
 # ---------------------------------------------------------------------------
@@ -206,3 +328,7 @@ def test_config_validation():
         MlpConfig(in_dim=1, n_classes=2, lr=0.0).validate()
     with pytest.raises(ValueError, match="checkpoint_every"):
         MlpConfig(in_dim=1, n_classes=2, checkpoint_every=0).validate()
+    with pytest.raises(ValueError, match="hidden_dims"):
+        MlpConfig(in_dim=1, n_classes=2, hidden_dims=(16, 0)).validate()
+    with pytest.raises(ValueError, match="cls_hidden_dim"):
+        MlpConfig(in_dim=1, n_classes=2, cls_hidden_dim=-2).validate()
