@@ -67,11 +67,12 @@ def _is_int(value):
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-# the JSON values each dataclass field type accepts, and how to name them
+# the JSON values each config field annotation accepts, and how to name them;
+# every field of ColoredSpec, MlpConfig and EstimatorConfig needs an entry
 _JSON_TYPES = {
     int: (_is_int, "an integer"),
     float: (lambda v: _is_int(v) or isinstance(v, float), "a number"),
-    tuple: (lambda v: isinstance(v, list) and all(map(_is_int, v)), "a list of integers"),
+    tuple[int, ...]: (lambda v: isinstance(v, list) and all(map(_is_int, v)), "a list of integers"),
 }
 
 _SPEC_ONLY_COLORED = "config block 'spec' applies only to colored-digit presets"

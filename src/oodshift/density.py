@@ -85,13 +85,8 @@ def kde_logpdf(model, Z, chunk=256):
     for start in range(0, Z.shape[0], chunk):
         zs = Z[start : start + chunk] / model.bandwidth
         a, top = buf[: zs.shape[0]], is_max[: zs.shape[0]]
-        # a = -0.5 * d2 with d2 = |z|^2 - 2 z.p + |p|^2, clamped at 0; in
-        # 1-D each z.p is one rounded product, so a broadcast multiply gives
-        # gemm's bits at a fraction of its cost
-        if zs.shape[1] == 1:
-            np.multiply(2.0 * zs, scaled_pts.T, out=a)
-        else:
-            np.matmul(2.0 * zs, scaled_pts.T, out=a)
+        # a = -0.5 * d2 with d2 = |z|^2 - 2 z.p + |p|^2, clamped at 0
+        np.matmul(2.0 * zs, scaled_pts.T, out=a)
         np.subtract(np.sum(zs**2, axis=1)[:, None], a, out=a)
         a += pts_sq
         np.maximum(a, 0.0, out=a)

@@ -19,7 +19,7 @@ from .data import LabeledDataset, split_train_val
 class MlpConfig:
     in_dim: int
     n_classes: int
-    hidden_dims: tuple = (256, 256)
+    hidden_dims: tuple[int, ...] = (256, 256)
     feature_dim: int = 8
     cls_hidden_dim: int = 64  # 0 = linear head
     lr: float = 0.0003

@@ -1,12 +1,13 @@
 """Tests for the command-line interface."""
 
 import csv
+import dataclasses
 import json
 
 import pytest
 
-from oodshift import load_csv
-from oodshift.cli import main
+from oodshift import ColoredSpec, EstimatorConfig, MlpConfig, load_csv
+from oodshift.cli import _JSON_TYPES, main
 
 FAST_MLP = {"hidden_dims": [16], "iters": 100, "checkpoint_every": 50}
 
@@ -274,6 +275,14 @@ def test_bad_config_block_exit_2(tmp_path, capsys, doc, culprit):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert culprit in err
+
+
+@pytest.mark.parametrize("target", [ColoredSpec, MlpConfig, EstimatorConfig])
+def test_every_config_field_has_a_json_type(target):
+    # a field annotation without an entry would make its config key crash
+    # with a KeyError instead of being checked
+    for field in dataclasses.fields(target):
+        assert field.type in _JSON_TYPES, (target.__name__, field.name, field.type)
 
 
 @pytest.mark.parametrize("command", ["generate-latent", "estimate-data", "compare"])

