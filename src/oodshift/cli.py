@@ -137,7 +137,7 @@ def _echo_config(out, args, extra):
     doc = {
         "command": args.command,
         "seed": args.seed,
-        "preset": args.preset,
+        "preset": getattr(args, "preset", None),
         "config_file": args.config,
         **extra,
     }
@@ -307,25 +307,31 @@ def build_parser():
         p.add_argument("--config", help="JSON config file (flags override it)")
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--out", default="out")
-        p.add_argument("--preset", nargs="+", metavar="NAME",
-                       help="iid | irm-cmnist | cmnist-rho A B | cmnist-blue | latent-a")
         p.add_argument("--n-per-env", type=int, default=2000)
-        p.add_argument("--latent-noise", type=float, default=0.05)
         p.add_argument("--iters", type=int, default=None, help="discriminator steps")
         p.add_argument("--runs", type=int, default=None, help="pipeline repetitions")
         p.add_argument("--mc-samples", type=int, default=None)
 
+    def dataset(p):
+        # compare builds its own six colored-digit datasets and takes neither
+        p.add_argument("--preset", nargs="+", metavar="NAME",
+                       help="iid | irm-cmnist | cmnist-rho A B | cmnist-blue | latent-a")
+        p.add_argument("--latent-noise", type=float, default=0.05)
+
     p_gen = sub.add_parser("generate", help="write a dataset CSV plus spec sidecar")
     common(p_gen)
+    dataset(p_gen)
     p_gen.set_defaults(func=cmd_generate)
 
     p_est = sub.add_parser("estimate", help="run the full shift-estimation pipeline")
     common(p_est)
+    dataset(p_est)
     p_est.add_argument("--data", help="existing dataset CSV instead of a preset")
     p_est.set_defaults(func=cmd_estimate)
 
     p_sweep = sub.add_parser("sweep", help="grid of estimates over color knobs")
     common(p_sweep)
+    dataset(p_sweep)
     p_sweep.add_argument("--threads", type=int, default=1, help="cells run in parallel")
     p_sweep.add_argument("--axes", choices=("rho", "mu"), default="rho")
     p_sweep.add_argument("--grid", nargs="+", default=["0.1", "0.3", "0.5", "0.7", "0.9"])

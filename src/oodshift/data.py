@@ -90,7 +90,10 @@ class ParseError(ValueError):
 
 
 def load_csv(path):
-    """Load a dataset from CSV with header ``env,label,x0,...,x{d-1}``."""
+    """Load a dataset from CSV with header ``env,label,x0,...,x{d-1}``.
+
+    Every feature cell must parse as a finite float.
+    """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         try:
@@ -113,9 +116,16 @@ def load_csv(path):
             try:
                 env = int(row[0])
                 label = int(row[1])
-                feats = [float(c) for c in row[2:]]
+                # NumPy parses each str cell with Python's float
+                feats = np.array(row[2:], dtype=np.float64)
             except ValueError as exc:
                 raise ParseError(f"{path}: line {lineno}: non-numeric cell ({exc})") from None
+            finite = np.isfinite(feats)
+            if not finite.all():
+                col = int(np.argmin(finite))
+                raise ParseError(
+                    f"{path}: line {lineno}: non-finite cell x{col} ({row[2 + col]!r})"
+                )
             if env not in (0, 1):
                 raise ParseError(f"{path}: line {lineno}: env out of range: {env}")
             if label < 0:
@@ -125,7 +135,7 @@ def load_csv(path):
             rows.append(feats)
     if not rows:
         raise ParseError(f"{path}: no rows")
-    return LabeledDataset(np.array(rows), np.array(labels), np.array(envs))
+    return LabeledDataset(np.stack(rows), np.array(labels), np.array(envs))
 
 
 def save_csv(ds, path):

@@ -5,7 +5,7 @@ consumes the feature concatenated with a one-hot label and emits a logit
 for the probability that the example came from the test environment. Both
 are trained jointly with Adam on binary cross-entropy. All math is plain
 NumPy with hand-derived backprop so gradients can be finite-difference
-checked.
+checked. Training runs in float32; `extract` and `grad_check` run in float64.
 """
 
 from dataclasses import dataclass, field
@@ -52,7 +52,7 @@ class ExtractorModel:
     loss_curve: list = field(default_factory=list)
 
 
-def _flat_layers(cfg):
+def _flat_layers(cfg, dtype=np.float64):
     """A zeroed flat buffer and the [W, b] views of the g and h layers in it.
 
     Parameters and gradients share this layout, so Adam updates every layer
@@ -62,7 +62,7 @@ def _flat_layers(cfg):
     h_in = cfg.feature_dim + cfg.n_classes
     h_dims = [h_in, cfg.cls_hidden_dim, 1] if cfg.cls_hidden_dim > 0 else [h_in, 1]
     shapes = [list(zip(dims, dims[1:])) for dims in (g_dims, h_dims)]
-    flat = np.zeros(sum((a + 1) * b for dims in shapes for a, b in dims))
+    flat = np.zeros(sum((a + 1) * b for dims in shapes for a, b in dims), dtype)
     stacks, start = [], 0
     for dims in shapes:
         layers = []
@@ -75,9 +75,9 @@ def _flat_layers(cfg):
     return flat, *stacks
 
 
-def _init_params(cfg, rng):
+def _init_params(cfg, rng, dtype=np.float64):
     """Glorot-uniform weights and zero biases, laid out by _flat_layers."""
-    flat, g_layers, h_layers = _flat_layers(cfg)
+    flat, g_layers, h_layers = _flat_layers(cfg, dtype)
     for W, _ in g_layers + h_layers:
         limit = np.sqrt(6.0 / sum(W.shape))
         W[...] = rng.uniform(-limit, limit, W.shape)
@@ -137,8 +137,8 @@ def _loss_and_grads(g_layers, h_layers, x, y_onehot, envs, g_grads, h_grads):
     return loss
 
 
-# float64 elements per Adam block: 256 KiB, so that a block and its two
-# scratch blocks stay in cache across the 14 passes of one update
+# elements per Adam block: 128 KiB in float32, so that a block and its
+# scratch blocks stay in cache across the passes of one update
 _ADAM_BLOCK = 32_768
 
 
@@ -146,20 +146,31 @@ class _Adam:
     """Standard Adam (beta1=0.9, beta2=0.999, eps=1e-8) over flat buffers.
 
     `step` reads `grads` and updates `params` in place, block by block
-    through two scratch blocks of its own, so a step allocates nothing. It
+    through scratch blocks of its own, so a step allocates nothing. It
     rounds as m = b1*m + (1-b1)*g, v = b2*v + ((1-b2)*g)*g and
-    p -= (lr*(m/b1t)) / (sqrt(v/b2t) + eps) do, one operation at a time.
+    p -= (lr*(m/b1t)) / (sqrt(v/b2t) + eps) do, one operation at a time,
+    in the dtype of `params`.
+
+    Subnormal entries of m are flushed to zero after each update. Where a
+    gradient stays 0 (unlit pixels, dead units), m decays by b1 a step and
+    turns subnormal after some 700 float32 steps; arithmetic on subnormals
+    would then make every later step several times slower.
     """
 
     def __init__(self, params, grads, lr, beta1=0.9, beta2=0.999, eps=1e-8):
         self.lr, self.beta1, self.beta2, self.eps = lr, beta1, beta2, eps
+        self.tiny = np.finfo(params.dtype).tiny
         m, v = np.zeros_like(params), np.zeros_like(params)
-        s, r = np.empty((2, min(_ADAM_BLOCK, params.size)))
+        n_max = min(_ADAM_BLOCK, params.size)
+        s, r = np.empty((2, n_max), params.dtype)
+        normal = np.empty(n_max, bool)
         self.blocks = []
         for start in range(0, params.size, _ADAM_BLOCK):
             blk = slice(start, start + _ADAM_BLOCK)
             n = params[blk].size
-            self.blocks.append((params[blk], grads[blk], m[blk], v[blk], s[:n], r[:n]))
+            self.blocks.append(
+                (params[blk], grads[blk], m[blk], v[blk], s[:n], r[:n], normal[:n])
+            )
         self.t = 0
 
     def step(self):
@@ -167,10 +178,13 @@ class _Adam:
         b1, b2 = self.beta1, self.beta2
         b1t = 1.0 - b1**self.t
         b2t = 1.0 - b2**self.t
-        for p, g, m, v, s, r in self.blocks:
+        for p, g, m, v, s, r, normal in self.blocks:
             m *= b1
             np.multiply(g, 1.0 - b1, out=s)
             m += s
+            np.abs(m, out=r)
+            np.greater_equal(r, self.tiny, out=normal)
+            m *= normal
             v *= b2
             np.multiply(g, 1.0 - b2, out=s)
             s *= g
@@ -218,7 +232,8 @@ def train(ds, cfg, rng):
 
     A 90/10 train/validation split is drawn first; every cfg.checkpoint_every
     steps (and at the final step) validation environment accuracy is measured
-    and the best-scoring parameters are kept.
+    and the best-scoring parameters are kept. Parameters, gradients, Adam's
+    state and each batch are float32; validation runs on the float64 features.
     """
     cfg.validate()
     if ds.n_dims != cfg.in_dim:
@@ -228,16 +243,16 @@ def train(ds, cfg, rng):
 
     train_ds, val_ds = split_train_val(ds, cfg.train_frac, rng)
     cells = _cell_indices(train_ds.labels, train_ds.envs, cfg.n_classes)
-    eye = np.eye(cfg.n_classes)
+    eye = np.eye(cfg.n_classes, dtype=np.float32)
     x_tr = train_ds.features
     y_tr = eye[train_ds.labels]
-    e_tr = train_ds.envs.astype(np.float64)
+    e_tr = train_ds.envs.astype(np.float32)
     if val_ds is not None:
         x_val, y_val = val_ds.features, eye[val_ds.labels]
         e_val = val_ds.envs.astype(np.int64)
 
-    params, g_layers, h_layers = _init_params(cfg, rng)
-    grads, g_grads, h_grads = _flat_layers(cfg)
+    params, g_layers, h_layers = _init_params(cfg, rng, np.float32)
+    grads, g_grads, h_grads = _flat_layers(cfg, np.float32)
     opt = _Adam(params, grads, cfg.lr)
 
     best_acc = -1.0
@@ -245,9 +260,9 @@ def train(ds, cfg, rng):
     loss_curve = []
     for t in range(1, cfg.iters + 1):
         idx = _sample_batch(cells, cfg.n_classes, cfg.batch_per_env, rng)
-        loss = _loss_and_grads(
-            g_layers, h_layers, x_tr[idx], y_tr[idx], e_tr[idx], g_grads, h_grads
-        )
+        # only the gathered batch is cast, so no float32 copy of x_tr is kept
+        x = x_tr[idx].astype(np.float32)
+        loss = _loss_and_grads(g_layers, h_layers, x, y_tr[idx], e_tr[idx], g_grads, h_grads)
         if not np.isfinite(loss):
             raise RuntimeError(f"non-finite loss at step {t}")
         loss_curve.append(loss)

@@ -246,10 +246,39 @@ def test_underpopulated_class_in_csv_exit_2(tmp_path, capsys):
 
 @pytest.mark.parametrize("command", ["estimate", "compare"])
 def test_threads_only_on_sweep(tmp_path, command):
+    preset = ["--preset", "iid"] if command == "estimate" else []
     with pytest.raises(SystemExit) as exc:
-        main([command, "--threads", "2", "--preset", "iid", "--n-per-env", "50",
+        main([command, "--threads", "2", *preset, "--n-per-env", "50",
               "--iters", "5", "--out", str(tmp_path / "out")])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("flag", [["--preset", "latent-a"], ["--latent-noise", "0.1"]])
+def test_compare_rejects_dataset_flags(tmp_path, capsys, flag):
+    # compare builds its own six colored-digit datasets
+    with pytest.raises(SystemExit) as exc:
+        main(["compare", *flag, "--n-per-env", "30", "--iters", "5", "--runs", "1",
+              "--mc-samples", "100", "--out", str(tmp_path / "out")])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_non_finite_csv_cell_exit_2(tmp_path, capsys):
+    # one nan cell: at one step the pipeline used to miss it in training and
+    # exit 0 with d_div = d_cor = 0; at more steps it exited 1 on the loss
+    rows = ["env,label,x0,x1"]
+    for i in range(200):
+        rows.append(f"{i % 2},{(i // 2) % 2},{(i * 7) % 13 / 13:.4f},{(i * 5) % 11 / 11:.4f}")
+    rows[57] = "0,0,nan,0.5"
+    data = tmp_path / "nan.csv"
+    data.write_text("\n".join(rows) + "\n")
+    rc = main(["estimate", "--data", str(data), "--iters", "1", "--runs", "1",
+               "--mc-samples", "100", "--out", str(tmp_path / "out")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {data}: line 58: non-finite cell x0 ('nan')\n"
+    assert not (tmp_path / "out" / "result.json").exists()
 
 
 @pytest.mark.parametrize("doc, culprit", [

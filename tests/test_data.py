@@ -1,5 +1,6 @@
 """Tests for the dataset container, seeded RNG, and file I/O."""
 
+import re
 import warnings
 
 import numpy as np
@@ -146,6 +147,32 @@ def test_csv_non_numeric_cell_names_line(tmp_path):
     path = tmp_path / "d.csv"
     path.write_text("env,label,x0\n0,0,1.0\n0,0,abc\n")
     with pytest.raises(ParseError, match="line 3"):
+        load_csv(path)
+
+
+@pytest.mark.parametrize("cell", ["nan", "-nan", "inf", "-Infinity", "1e400"])
+def test_csv_non_finite_cell_names_line(tmp_path, cell):
+    path = tmp_path / "d.csv"
+    path.write_text(f"env,label,x0,x1\n0,0,1.0,2.0\n1,0,3.0,{cell}\n")
+    with pytest.raises(ParseError, match=r"line 3: non-finite cell x1"):
+        load_csv(path)
+
+
+def test_csv_cells_parse_as_python_float(tmp_path):
+    cells = ["1_0", " 1.5 ", "-0.0", "4.9e-324", "0.1", "1e308", "+7"]
+    path = tmp_path / "d.csv"
+    path.write_text("env,label," + ",".join(f"x{i}" for i in range(len(cells)))
+                    + "\n0,0," + ",".join(cells) + "\n")
+    got = load_csv(path).features[0]
+    assert got.tobytes() == np.array([float(c) for c in cells]).tobytes()
+
+
+@pytest.mark.parametrize("cell", ["0x10", "", "abc"])
+def test_csv_unparsable_cell_message(tmp_path, cell):
+    path = tmp_path / "d.csv"
+    path.write_text(f"env,label,x0\n0,0,{cell}\n")
+    want = f"line 2: non-numeric cell (could not convert string to float: '{cell}')"
+    with pytest.raises(ParseError, match=re.escape(want)):
         load_csv(path)
 
 

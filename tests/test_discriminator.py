@@ -44,9 +44,30 @@ def test_adam_matches_hand_trace():
         assert theta[0] == pytest.approx(want, abs=1e-12)
 
 
+def _adam_m(opt):
+    return np.concatenate([blk[2] for blk in opt.blocks])
+
+
+def test_adam_float32_flushes_subnormal_m():
+    # the gradient is nonzero at step 1 only; m then decays by 0.9 a step
+    # and, unflushed, passes through the float32 subnormals (below about
+    # 1.2e-38) somewhere between steps 700 and 1000 for these magnitudes
+    params = np.zeros(64, np.float32)
+    grads = np.logspace(-6, 2, 64, dtype=np.float32)
+    opt = _Adam(params, grads, lr=0.001)
+    tiny = np.finfo(np.float32).tiny
+    for t in range(1, 1001):
+        opt.step()
+        grads[...] = 0.0
+        m = _adam_m(opt)
+        assert not np.any((m != 0.0) & (np.abs(m) < tiny)), f"subnormal m at step {t}"
+    assert m.dtype == np.float32 and not np.any(m)
+    assert np.all(np.isfinite(params))
+
+
 # ---------------------------------------------------------------------------
-# reference training: per-array parameters, Adam state and gradients, with
-# fresh arrays every step; train must reproduce it bit for bit
+# reference training: per-array float32 parameters, Adam state and
+# gradients, with fresh arrays every step; train must reproduce it bit for bit
 
 
 class _ReferenceAdam:
@@ -64,6 +85,7 @@ class _ReferenceAdam:
         for p, g, m, v in zip(self.params, grads, self.m, self.v):
             m *= self.beta1
             m += (1.0 - self.beta1) * g
+            m *= np.abs(m) >= np.finfo(m.dtype).tiny
             v *= self.beta2
             v += (1.0 - self.beta2) * g * g
             p -= self.lr * (m / b1t) / (np.sqrt(v / b2t) + self.eps)
@@ -84,16 +106,17 @@ def _reference_glorot_stack(rng, dims):
     layers = []
     for fan_in, fan_out in zip(dims, dims[1:]):
         limit = np.sqrt(6.0 / (fan_in + fan_out))
-        layers.append([rng.uniform(-limit, limit, (fan_in, fan_out)), np.zeros(fan_out)])
+        W = rng.uniform(-limit, limit, (fan_in, fan_out)).astype(np.float32)
+        layers.append([W, np.zeros(fan_out, np.float32)])
     return layers
 
 
 def _reference_train(ds, cfg, rng):
     train_ds, val_ds = split_train_val(ds, cfg.train_frac, rng)
     cells = _cell_indices(train_ds.labels, train_ds.envs, cfg.n_classes)
-    eye = np.eye(cfg.n_classes)
-    x_tr, y_tr = train_ds.features, eye[train_ds.labels]
-    e_tr = train_ds.envs.astype(np.float64)
+    eye = np.eye(cfg.n_classes, dtype=np.float32)
+    x_tr, y_tr = train_ds.features.astype(np.float32), eye[train_ds.labels]
+    e_tr = train_ds.envs.astype(np.float32)
     x_val, y_val = val_ds.features, eye[val_ds.labels]
     e_val = val_ds.envs.astype(np.int64)
 
@@ -157,6 +180,26 @@ def test_train_bit_identical_to_reference(case):
         assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
     assert model.loss_curve == curve_ref
     assert model.val_accuracy == acc_ref
+
+
+def test_train_float32_extract_and_grad_check_float64():
+    ds = _latent_ds(0.7, n=200)
+    cfg = MlpConfig(in_dim=1, n_classes=2, iters=20, hidden_dims=(8,))
+    model = train(ds, cfg, Rng(34))
+    for W, b in model.g_layers + model.h_layers:
+        assert W.dtype == np.float32 and b.dtype == np.float32
+    feats = extract(model, ds)
+    assert feats.dtype == np.float64
+    # float64 arithmetic on the float32 weights, not a float32 forward pass
+    a = ds.features
+    for i, (W, b) in enumerate(model.g_layers):
+        a = a @ W.astype(np.float64) + b.astype(np.float64)
+        a = np.maximum(a, 0.0) if i < len(model.g_layers) - 1 else a
+    assert np.array_equal(feats, a)
+    # a float32 central difference at step 1e-5 is off by far more than 1e-7
+    linear = MlpConfig(in_dim=3, n_classes=2, hidden_dims=(), feature_dim=2,
+                       cls_hidden_dim=0)
+    assert grad_check(linear, Rng(35)) < 1e-7
 
 
 # ---------------------------------------------------------------------------
