@@ -5,7 +5,6 @@ diversity/correlation decomposition; they conflate the two kinds of shift.
 """
 
 import math
-from dataclasses import replace
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
@@ -13,7 +12,7 @@ from scipy.spatial.distance import cdist
 
 from .data import Rng
 from .datagen import gen_colored
-from .estimator import _mean_stderr, estimate_pipeline
+from .estimator import _mean_stderr, _run
 
 
 def _subsample(F, size, rng):
@@ -102,7 +101,6 @@ def compare_table(specs, mlp_cfg, est_cfg, base_seed, n_sub=512):
     blue flag, then each baseline metric and each shift with its standard
     error over est_cfg.n_runs freshly generated datasets."""
     est_cfg.validate()
-    one = replace(est_cfg, n_runs=1)
     records = []
     for s_idx, spec in enumerate(specs):
         runs = []
@@ -116,7 +114,7 @@ def compare_table(specs, mlp_cfg, est_cfg, base_seed, n_sub=512):
                 emd(F_tr, F_te, n_sub, rng),
                 mmd(F_tr, F_te, n_sub, rng),
                 ni(ds),
-                *estimate_pipeline(ds, mlp_cfg, one, seed + 1).per_run[0],
+                *_run(ds, mlp_cfg, est_cfg, seed + 1)[0],
             ))
         mean, stderr = _mean_stderr(np.asarray(runs, dtype=np.float64))
         record = {"rho_te": spec.rho_te, "blue": int(spec.mu_te > 0)}

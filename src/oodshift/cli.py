@@ -223,10 +223,7 @@ def cmd_sweep(args):
         "mlp": dataclasses.asdict(mlp_cfg), "estimator": dataclasses.asdict(est_cfg),
     })
     t0 = time.time()
-    records = sweep(
-        spec, axis1, values, axis2, values, mlp_cfg, est_cfg, args.seed,
-        threads=args.threads,
-    )
+    records = sweep(spec, axis1, values, axis2, values, mlp_cfg, est_cfg, args.seed)
     _log(out, f"sweep: {len(records)} cells in {time.time() - t0:.1f}s")
     with open(out / "sweep.csv", "w", newline="") as fh:
         writer = csv.DictWriter(
@@ -243,15 +240,9 @@ def cmd_compare(args):
     if "spec" in config:
         raise UserError(_SPEC_ONLY_COLORED)
     out = _prepare_out(args)
-    rho_tes = [0.9, 0.7, 0.5, 0.3, 0.1]
-    specs = [
-        ColoredSpec(rho_tr=0.1, rho_te=r, n_per_env=args.n_per_env) for r in rho_tes
-    ] + [
-        ColoredSpec(
-            rho_tr=0.1, rho_te=0.1, mu_tr=0.0, mu_te=1.0,
-            sigma_tr=0.1, sigma_te=0.1, n_per_env=args.n_per_env,
-        )
-    ]
+    irm = irm_colored_default(args.n_per_env)
+    specs = [dataclasses.replace(irm, rho_te=r) for r in (0.9, 0.7, 0.5, 0.3, 0.1)]
+    specs.append(_preset(["cmnist-blue"], args.n_per_env)[1])
     mlp_cfg = _mlp_config(3 * specs[0].image_side**2, 2, config, args)
     est_cfg = _est_config(config, args)
     _echo_config(out, args, {
@@ -332,7 +323,6 @@ def build_parser():
     p_sweep = sub.add_parser("sweep", help="grid of estimates over color knobs")
     common(p_sweep)
     dataset(p_sweep)
-    p_sweep.add_argument("--threads", type=int, default=1, help="cells run in parallel")
     p_sweep.add_argument("--axes", choices=("rho", "mu"), default="rho")
     p_sweep.add_argument("--grid", nargs="+", default=["0.1", "0.3", "0.5", "0.7", "0.9"])
     p_sweep.set_defaults(func=cmd_sweep)

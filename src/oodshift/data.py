@@ -1,7 +1,6 @@
 """Dataset container, seeded RNG, and CSV file I/O."""
 
 import csv
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -148,15 +147,15 @@ def save_csv(ds, path):
 
 
 def split_train_val(ds, frac, rng):
-    """Shuffle and split into ceil(frac*n) training rows and the rest."""
+    """Shuffle and split into ceil(frac*n) training rows and the rest; the
+    rest must not be empty."""
     if not 0.0 < frac < 1.0:
         raise ValueError("frac must lie in (0, 1)")
     n = ds.n_rows
     n_train = int(np.ceil(frac * n))
     if n_train == n:
-        warnings.warn("validation split is empty", stacklevel=2)
+        raise ValueError(
+            f"validation split is empty: {n} rows at training fraction {frac}"
+        )
     perm = rng.permutation(n)
-    train_idx, val_idx = perm[:n_train], perm[n_train:]
-    train = ds.subset(train_idx)
-    val = ds.subset(val_idx) if len(val_idx) else None
-    return train, val
+    return ds.subset(perm[:n_train]), ds.subset(perm[n_train:])

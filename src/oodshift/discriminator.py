@@ -247,9 +247,8 @@ def train(ds, cfg, rng):
     x_tr = train_ds.features
     y_tr = eye[train_ds.labels]
     e_tr = train_ds.envs.astype(np.float32)
-    if val_ds is not None:
-        x_val, y_val = val_ds.features, eye[val_ds.labels]
-        e_val = val_ds.envs.astype(np.int64)
+    x_val, y_val = val_ds.features, eye[val_ds.labels]
+    e_val = val_ds.envs.astype(np.int64)
 
     params, g_layers, h_layers = _init_params(cfg, rng, np.float32)
     grads, g_grads, h_grads = _flat_layers(cfg, np.float32)
@@ -267,16 +266,13 @@ def train(ds, cfg, rng):
             raise RuntimeError(f"non-finite loss at step {t}")
         loss_curve.append(loss)
         opt.step()
-        if val_ds is not None and (t % cfg.checkpoint_every == 0 or t == cfg.iters):
+        if t % cfg.checkpoint_every == 0 or t == cfg.iters:
             acc = _accuracy(g_layers, h_layers, x_val, y_val, e_val)
             if acc > best_acc:
                 best_acc = acc
                 best_params = params.copy()
 
-    if best_params is not None:
-        params[...] = best_params
-    else:
-        best_acc = float("nan")
+    params[...] = best_params
 
     return ExtractorModel(
         g_layers=g_layers,

@@ -8,7 +8,7 @@ region (correlation) by density thresholds.
 """
 
 import math
-from dataclasses import dataclass, field, asdict
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -18,21 +18,22 @@ from .density import fit_standardizer, kde_fit, kde_logpdf, kde_sample
 from .discriminator import extract, train
 
 _LOG_DENSITY_FLOOR = -745.0  # below this exp() underflows to 0
+# a draw lies in the diversity region when p or q is below _EPS_DIV, and in
+# the correlation region when both exceed _EPS_COR; _EPS_DIV < _EPS_COR keeps
+# the regions disjoint
+_EPS_DIV = 1e-12
+_EPS_COR = 5e-4
 
 
 @dataclass(frozen=True)
 class EstimatorConfig:
     n_mc_samples: int = 10000  # importance sampling size
-    eps_div: float = 1e-12
-    eps_cor: float = 5e-4
     n_runs: int = 5
     bandwidth_scale: float = 0.7
 
     def validate(self):
         if self.n_mc_samples < 1:
             raise ValueError("n_mc_samples must be >= 1")
-        if not 0.0 < self.eps_div < self.eps_cor:
-            raise ValueError("need 0 < eps_div < eps_cor")
         if self.n_runs < 1:
             raise ValueError("n_runs must be >= 1")
         if not self.bandwidth_scale > 0.0:
@@ -116,12 +117,12 @@ def estimate(F_tr, F_te, labels_tr, labels_te, cfg, rng):
     q_vals = np.exp(log_q)
     w_vals = np.exp(log_w)
 
-    div_mask = (p_vals < cfg.eps_div) | (q_vals < cfg.eps_div)
+    div_mask = (p_vals < _EPS_DIV) | (q_vals < _EPS_DIV)
     d_div = float(
         (np.abs(p_vals - q_vals)[div_mask] / w_vals[div_mask]).sum() / (2.0 * M)
     )
 
-    cor_mask = (p_vals > cfg.eps_cor) & (q_vals > cfg.eps_cor)
+    cor_mask = (p_vals > _EPS_COR) & (q_vals > _EPS_COR)
     half_ratio = 0.5 * (log_q - log_p)  # log sqrt(q/p)
     d_cor = 0.0
     for cls in classes:
@@ -171,28 +172,26 @@ def _aggregate(per_run, diagnostics):
     )
 
 
+def _run(ds, mlp_cfg, est_cfg, seed):
+    """One pipeline run: train the discriminator, extract features and run
+    the estimator, all from Rng(seed). Returns ((d_div, d_cor),
+    validation accuracy, estimator diagnostics)."""
+    rng = Rng(seed)
+    model = train(ds, mlp_cfg, rng)
+    F = extract(model, ds.features)
+    tr = ds.envs == 0
+    d_div, d_cor, diag = estimate(F[tr], F[~tr], ds.labels[tr], ds.labels[~tr], est_cfg, rng)
+    return (d_div, d_cor), model.val_accuracy, diag
+
+
 def estimate_pipeline(ds, mlp_cfg, est_cfg, base_seed):
-    """Full pipeline: per run, train the discriminator, extract features and
-    run the estimator; aggregate mean and standard error over runs."""
+    """Full pipeline: run i trains, extracts and estimates from seed
+    base_seed + i; aggregate mean and standard error over runs."""
     est_cfg.validate()
-    if not np.isin((0, 1), ds.envs).all():
-        raise ValueError("dataset must contain both environments")
-    per_run = []
-    val_accs = []
-    run_diags = []
-    for run in range(est_cfg.n_runs):
-        rng = Rng(base_seed + run)
-        model = train(ds, mlp_cfg, rng)
-        F = extract(model, ds.features)
-        tr = ds.envs == 0
-        d_div, d_cor, diag = estimate(
-            F[tr], F[~tr], ds.labels[tr], ds.labels[~tr], est_cfg, rng
-        )
-        per_run.append((d_div, d_cor))
-        val_accs.append(model.val_accuracy)
-        run_diags.append(diag)
+    runs = [_run(ds, mlp_cfg, est_cfg, base_seed + i) for i in range(est_cfg.n_runs)]
+    per_run, val_accs, run_diags = zip(*runs)
     diagnostics = {
-        "val_accuracy_per_run": val_accs,
+        "val_accuracy_per_run": list(val_accs),
         "frac_div_region_per_run": [d["frac_div_region"] for d in run_diags],
         "frac_cor_region_per_run": [d["frac_cor_region"] for d in run_diags],
         "labels_uniform": bool(
@@ -202,43 +201,24 @@ def estimate_pipeline(ds, mlp_cfg, est_cfg, base_seed):
     return _aggregate(per_run, diagnostics)
 
 
-def sweep(base_spec, axis1, values1, axis2, values2, mlp_cfg, est_cfg, base_seed,
-          threads=1):
+def sweep(base_spec, axis1, values1, axis2, values2, mlp_cfg, est_cfg, base_seed):
     """Grid of pipeline estimates over two ColoredSpec fields.
 
-    Each cell regenerates the dataset and runs the pipeline with its own
-    derived seed; cells are independent and may run in parallel. Returns a
-    list of dicts, one per cell (row-major).
+    Cell i (row-major) generates its dataset from seed base_seed + 10000*i
+    and runs the pipeline from that seed + 1. Returns one dict per cell.
     """
-    from concurrent.futures import ThreadPoolExecutor
-    from dataclasses import replace
-
-    cells = [
-        (i, float(v1), float(v2))
-        for i, (v1, v2) in enumerate(
-            (a, b) for a in values1 for b in values2
-        )
-    ]
-
-    def run_cell(cell):
-        i, v1, v2 = cell
+    records = []
+    for i, (v1, v2) in enumerate((float(a), float(b)) for a in values1 for b in values2):
         spec = replace(base_spec, **{axis1: v1, axis2: v2})
         cell_seed = base_seed + 10000 * i
         ds = gen_colored(spec, Rng(cell_seed))
         result = estimate_pipeline(ds, mlp_cfg, est_cfg, cell_seed + 1)
-        return {
+        records.append({
             axis1: v1,
             axis2: v2,
             "d_div": result.d_div,
             "d_cor": result.d_cor,
             "stderr_div": result.stderr_div,
             "stderr_cor": result.stderr_cor,
-        }
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            records = list(pool.map(run_cell, cells))
-    else:
-        records = [run_cell(c) for c in cells]
-    assert len(records) == len(cells)
+        })
     return records

@@ -244,9 +244,22 @@ def test_underpopulated_class_in_csv_exit_2(tmp_path, capsys):
     assert "underpopulated" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("command", ["estimate", "compare"])
+def test_empty_validation_split_exit_2(tmp_path, capsys):
+    # 8 rows, 2 per (env, class) cell: a 0.9 training fraction takes all 8
+    rows = ["env,label,x0"] + [f"{i // 4},{i % 2},{i * 0.5}" for i in range(8)]
+    data = tmp_path / "tiny.csv"
+    data.write_text("\n".join(rows) + "\n")
+    rc = main(["estimate", "--data", str(data), "--iters", "5", "--runs", "1",
+               "--mc-samples", "50", "--out", str(tmp_path / "out")])
+    assert rc == 2
+    assert "validation split is empty" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "result.json").exists()
+
+
+@pytest.mark.parametrize("command", ["estimate", "compare", "sweep"])
 def test_threads_only_on_sweep(tmp_path, command):
-    preset = ["--preset", "iid"] if command == "estimate" else []
+    # no command takes --threads: every run executes serially
+    preset = [] if command == "compare" else ["--preset", "iid"]
     with pytest.raises(SystemExit) as exc:
         main([command, "--threads", "2", *preset, "--n-per-env", "50",
               "--iters", "5", "--out", str(tmp_path / "out")])
@@ -293,6 +306,8 @@ def test_non_finite_csv_cell_exit_2(tmp_path, capsys):
     ({"mlp": {"iters": "x"}}, "'mlp' key 'iters'"),
     ({"mlp": {"hidden_dims": 5}}, "'mlp' key 'hidden_dims'"),
     ({"mlp": {"hidden_dims": [-3]}}, "hidden_dims must be >= 1"),
+    ({"estimator": {"eps_div": 1e-12}}, "'eps_div'"),
+    ({"estimator": {"eps_cor": 5e-4}}, "'eps_cor'"),
 ])
 def test_bad_config_block_exit_2(tmp_path, capsys, doc, culprit):
     rc = main([

@@ -1,7 +1,6 @@
 """Tests for the dataset container, seeded RNG, and file I/O."""
 
 import re
-import warnings
 
 import numpy as np
 import pytest
@@ -212,12 +211,14 @@ def test_split_deterministic():
     assert np.array_equal(v1.features, v2.features)
 
 
-def test_split_degenerate_single_row_warns():
-    ds = LabeledDataset(np.zeros((1, 1)), np.zeros(1, int), np.zeros(1, int))
-    with pytest.warns(UserWarning, match="empty"):
-        train, val = split_train_val(ds, 0.9, Rng(0))
-    assert train.n_rows == 1
-    assert val is None
+def test_split_empty_validation_raises():
+    # ceil(0.9 * n) == n for every n < 10; n = 10 leaves one validation row
+    for n in (1, 8, 9):
+        ds = LabeledDataset(np.zeros((n, 1)), np.zeros(n, int), np.zeros(n, int))
+        with pytest.raises(ValueError, match="validation split is empty"):
+            split_train_val(ds, 0.9, Rng(0))
+    ds = LabeledDataset(np.zeros((10, 1)), np.zeros(10, int), np.zeros(10, int))
+    assert split_train_val(ds, 0.9, Rng(0))[1].n_rows == 1
 
 
 def test_split_rejects_bad_frac():

@@ -13,6 +13,7 @@ from oodshift import (
     Rng,
     estimate,
     estimate_pipeline,
+    gen_colored,
     gen_latent,
     latent_spec_a,
     latent_spec_tv,
@@ -20,6 +21,7 @@ from oodshift import (
     random_latent_spec,
     sweep,
 )
+from oodshift.estimator import _EPS_COR, _EPS_DIV
 
 
 # ---------------------------------------------------------------------------
@@ -30,8 +32,6 @@ def test_config_validation():
     with pytest.raises(ValueError):
         EstimatorConfig(n_mc_samples=0).validate()
     with pytest.raises(ValueError):
-        EstimatorConfig(eps_div=1e-3, eps_cor=1e-4).validate()
-    with pytest.raises(ValueError):
         EstimatorConfig(n_runs=0).validate()
     for scale in (0.0, -1.0, float("nan")):
         with pytest.raises(ValueError, match="bandwidth_scale"):
@@ -41,9 +41,13 @@ def test_config_validation():
 def test_config_defaults():
     cfg = EstimatorConfig()
     assert cfg.n_mc_samples == 10_000
-    assert cfg.eps_div == 1e-12
-    assert cfg.eps_cor == 5e-4
     assert cfg.n_runs == 5
+    assert cfg.bandwidth_scale == 0.7
+    # the region thresholds are module constants, not config fields
+    assert {f.name for f in dataclasses.fields(cfg)} == {
+        "n_mc_samples", "n_runs", "bandwidth_scale"
+    }
+    assert (_EPS_DIV, _EPS_COR) == (1e-12, 5e-4)
 
 
 # ---------------------------------------------------------------------------
@@ -164,13 +168,13 @@ def test_estimate_label_imbalance_flagged():
 
 
 def test_region_masks_mutually_exclusive():
-    # eps_div < eps_cor makes the regions disjoint for any density values
+    # _EPS_DIV < _EPS_COR makes the regions disjoint for any density values
+    assert 0.0 < _EPS_DIV < _EPS_COR
     r = np.random.default_rng(13)
-    cfg = EstimatorConfig()
     p = 10.0 ** r.uniform(-16, 2, 10_000)
     q = 10.0 ** r.uniform(-16, 2, 10_000)
-    div_mask = (p < cfg.eps_div) | (q < cfg.eps_div)
-    cor_mask = (p > cfg.eps_cor) & (q > cfg.eps_cor)
+    div_mask = (p < _EPS_DIV) | (q < _EPS_DIV)
+    cor_mask = (p > _EPS_COR) & (q > _EPS_COR)
     assert not (div_mask & cor_mask).any()
 
 
@@ -264,10 +268,22 @@ def test_sweep_cell_count_and_axes():
         assert rec["d_div"] >= 0.0 and rec["d_cor"] >= 0.0
 
 
-def test_sweep_threaded_matches_serial():
+def test_sweep_cell_seed_scheme():
+    # cell i generates from base + 10000*i and runs the pipeline from + 1;
+    # any other executor of the cells must keep these records
     spec, mlp, est = _sweep_setup()
+    est = dataclasses.replace(est, n_runs=2)
     grid = [0.1, 0.9]
-    serial = sweep(spec, "rho_tr", grid, "rho_te", grid, mlp, est, base_seed=51)
-    threaded = sweep(spec, "rho_tr", grid, "rho_te", grid, mlp, est, base_seed=51,
-                     threads=2)
-    assert serial == threaded
+    base = 51
+    records = sweep(spec, "rho_tr", grid, "rho_te", grid, mlp, est, base_seed=base)
+    cells = [(a, b) for a in grid for b in grid]
+    assert len(records) == len(cells)
+    for i, ((a, b), rec) in enumerate(zip(cells, records)):
+        seed = base + 10000 * i
+        ds = gen_colored(dataclasses.replace(spec, rho_tr=a, rho_te=b), Rng(seed))
+        result = estimate_pipeline(ds, mlp, est, seed + 1)
+        assert rec == {
+            "rho_tr": a, "rho_te": b,
+            "d_div": result.d_div, "d_cor": result.d_cor,
+            "stderr_div": result.stderr_div, "stderr_cor": result.stderr_cor,
+        }
