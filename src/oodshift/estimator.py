@@ -1,10 +1,12 @@
 """Diversity and correlation shift: exact oracle and Monte Carlo estimator.
 
 The oracle sums Definition-style formulas exactly over a discrete latent
-spec. The estimator fits KDEs over extracted features and evaluates the
-same integrals by importance sampling from the pooled density, splitting
-draws into a no-shared-support region (diversity) and a shared-support
-region (correlation) by density thresholds.
+spec. The estimator fits one KDE per environment over extracted features
+and evaluates the same integrals by importance sampling from the mixture of
+the two fits, splitting draws into a no-shared-support region (diversity)
+and a shared-support region (correlation) by density thresholds. The label
+conditionals come from each fit's class-y rows, so they sum to 1 and carry
+the measured class priors.
 """
 
 import math
@@ -17,7 +19,6 @@ from .datagen import gen_colored
 from .density import fit_standardizer, kde_fit, kde_logpdf, kde_sample
 from .discriminator import extract, train
 
-_LOG_DENSITY_FLOOR = -745.0  # below this exp() underflows to 0
 # a draw lies in the diversity region when p or q is below _EPS_DIV, and in
 # the correlation region when both exceed _EPS_COR; _EPS_DIV < _EPS_COR keeps
 # the regions disjoint
@@ -69,11 +70,6 @@ def oracle_shift(spec):
     return float(np.clip(d_div, 0.0, 1.0)), float(np.clip(d_cor, 0.0, 1.0))
 
 
-def _check_label_balance(labels, n_classes, tol=0.02):
-    freqs = np.bincount(labels, minlength=n_classes) / labels.size
-    return bool(np.abs(freqs - 1.0 / n_classes).max() <= tol)
-
-
 def estimate(F_tr, F_te, labels_tr, labels_te, cfg, rng):
     """One importance-sampling run of the shift estimator.
 
@@ -87,62 +83,63 @@ def estimate(F_tr, F_te, labels_tr, labels_te, cfg, rng):
         raise ValueError("feature matrices must share one dimensionality")
     if F_tr.shape[0] < 2 or F_te.shape[0] < 2:
         raise ValueError("need at least 2 rows per environment")
+    if not (np.isfinite(F_tr).all() and np.isfinite(F_te).all()):
+        raise ValueError("features must be finite (no NaN or inf)")
     labels_tr = np.asarray(labels_tr, dtype=np.int64)
     labels_te = np.asarray(labels_te, dtype=np.int64)
     classes = np.union1d(labels_tr, labels_te)
-    n_classes = int(classes.max()) + 1
     for cls in classes:
         if (labels_tr == cls).sum() < 2 or (labels_te == cls).sum() < 2:
             raise ValueError(f"class {cls} underpopulated in one environment")
 
+    n_tr, n_te = F_tr.shape[0], F_te.shape[0]
+    n = n_tr + n_te
     pooled = np.concatenate([F_tr, F_te])
-    standardizer = fit_standardizer(pooled)
-    pooled_s = standardizer.apply(pooled)
-    S_tr = pooled_s[: F_tr.shape[0]]
-    S_te = pooled_s[F_tr.shape[0] :]
+    pooled_s = fit_standardizer(pooled).apply(pooled)
 
     # shared unit kernel scale: the pool is standardized, and giving both
     # environment fits the same per-dim scale keeps their densities comparable
-    scale = cfg.bandwidth_scale
-    w_hat = kde_fit(pooled_s, scale, std=1.0)
-    p_hat = kde_fit(S_tr, scale, std=1.0)
-    q_hat = kde_fit(S_te, scale, std=1.0)
+    p_hat = kde_fit(pooled_s[:n_tr], cfg.bandwidth_scale, std=1.0)
+    q_hat = kde_fit(pooled_s[n_tr:], cfg.bandwidth_scale, std=1.0)
 
+    # M draws from the mixture w = (n_tr p + n_te q) / n: a draw comes from
+    # p when its uniform pooled index falls in env 0
     M = cfg.n_mc_samples
-    draws = kde_sample(w_hat, M, rng)
-    log_w = np.maximum(kde_logpdf(w_hat, draws), _LOG_DENSITY_FLOOR)
-    log_p = kde_logpdf(p_hat, draws)
-    log_q = kde_logpdf(q_hat, draws)
+    m_p = int((rng.integers(0, n, M) < n_tr).sum())
+    draws = np.concatenate(
+        [kde_sample(fit, k, rng) for fit, k in ((p_hat, m_p), (q_hat, M - m_p)) if k]
+    )
+
+    # log p(z, y): the environment KDE summed over its class-y rows only,
+    # with the environment's normalisation kept, so p(z) = sum_y p(z, y)
+    log_py, log_qy = (
+        np.stack([
+            kde_logpdf(replace(fit, points=fit.points[labels == cls]), draws)
+            for cls in classes
+        ])
+        for fit, labels in ((p_hat, labels_tr), (q_hat, labels_te))
+    )
+    log_p = np.logaddexp.reduce(log_py, axis=0)
+    log_q = np.logaddexp.reduce(log_qy, axis=0)
+    log_w = np.logaddexp(math.log(n_tr / n) + log_p, math.log(n_te / n) + log_q)
     p_vals = np.exp(log_p)
     q_vals = np.exp(log_q)
-    w_vals = np.exp(log_w)
 
     div_mask = (p_vals < _EPS_DIV) | (q_vals < _EPS_DIV)
     d_div = float(
-        (np.abs(p_vals - q_vals)[div_mask] / w_vals[div_mask]).sum() / (2.0 * M)
+        np.abs(np.exp(log_p - log_w) - np.exp(log_q - log_w))[div_mask].sum() / (2.0 * M)
     )
 
+    # both densities exceed _EPS_COR here, so every log below is finite
     cor_mask = (p_vals > _EPS_COR) & (q_vals > _EPS_COR)
-    half_ratio = 0.5 * (log_q - log_p)  # log sqrt(q/p)
-    d_cor = 0.0
-    for cls in classes:
-        if not cor_mask.any():
-            continue
-        p_y = kde_fit(S_tr[labels_tr == cls], scale, std=1.0)
-        q_y = kde_fit(S_te[labels_te == cls], scale, std=1.0)
-        log_py = kde_logpdf(p_y, draws[cor_mask])
-        log_qy = kde_logpdf(q_y, draws[cor_mask])
-        term = np.abs(
-            np.exp(log_py + half_ratio[cor_mask]) - np.exp(log_qy - half_ratio[cor_mask])
-        )
-        d_cor += float((term / w_vals[cor_mask]).sum())
-    d_cor /= 2.0 * M * n_classes
+    lp, lq = log_p[cor_mask], log_q[cor_mask]
+    cond_gap = np.abs(np.exp(log_py[:, cor_mask] - lp) - np.exp(log_qy[:, cor_mask] - lq))
+    overlap = np.exp(0.5 * (lp + lq) - log_w[cor_mask])  # sqrt(p q) / w
+    d_cor = float((cond_gap.sum(axis=0) * overlap).sum() / (2.0 * M))
 
     diagnostics = {
         "frac_div_region": float(div_mask.mean()),
         "frac_cor_region": float(cor_mask.mean()),
-        "labels_uniform_tr": _check_label_balance(labels_tr, n_classes),
-        "labels_uniform_te": _check_label_balance(labels_te, n_classes),
     }
     return d_div, d_cor, diagnostics
 
@@ -194,9 +191,6 @@ def estimate_pipeline(ds, mlp_cfg, est_cfg, base_seed):
         "val_accuracy_per_run": list(val_accs),
         "frac_div_region_per_run": [d["frac_div_region"] for d in run_diags],
         "frac_cor_region_per_run": [d["frac_cor_region"] for d in run_diags],
-        "labels_uniform": bool(
-            all(d["labels_uniform_tr"] and d["labels_uniform_te"] for d in run_diags)
-        ),
     }
     return _aggregate(per_run, diagnostics)
 
