@@ -15,11 +15,20 @@ from .datagen import gen_colored
 from .estimator import _mean_stderr, _run
 
 
-def _subsample(F, size, rng):
-    F = np.atleast_2d(np.asarray(F, dtype=np.float64))
-    if F.shape[0] <= size:
-        return F
-    return F[rng.choice(F.shape[0], size=size, replace=False)]
+def _paired_subsamples(F_tr, F_te, n_sub, rng):
+    """Both sets as float64 matrices of size = min(n_sub, rows of each) rows,
+    drawn without replacement from F_tr first, then from F_te; a set of
+    exactly size rows is kept whole, in order."""
+    F_tr = np.atleast_2d(np.asarray(F_tr, dtype=np.float64))
+    F_te = np.atleast_2d(np.asarray(F_te, dtype=np.float64))
+    if F_tr.shape[0] == 0 or F_te.shape[0] == 0:
+        raise ValueError("both sets must be nonempty")
+    size = min(n_sub, F_tr.shape[0], F_te.shape[0])
+    if F_tr.shape[0] > size:
+        F_tr = F_tr[rng.choice(F_tr.shape[0], size=size, replace=False)]
+    if F_te.shape[0] > size:
+        F_te = F_te[rng.choice(F_te.shape[0], size=size, replace=False)]
+    return F_tr, F_te
 
 
 def mmd(F_tr, F_te, n_sub=2000, rng=None):
@@ -28,16 +37,8 @@ def mmd(F_tr, F_te, n_sub=2000, rng=None):
     subsample (median heuristic). Clamped at 0 before the root."""
     if n_sub < 2:
         raise ValueError("n_sub must be >= 2")
-    rng = rng or Rng(0)
-    F_tr = np.atleast_2d(np.asarray(F_tr, dtype=np.float64))
-    F_te = np.atleast_2d(np.asarray(F_te, dtype=np.float64))
-    if F_tr.shape[0] == 0 or F_te.shape[0] == 0:
-        raise ValueError("both sets must be nonempty")
-    size = min(n_sub, F_tr.shape[0], F_te.shape[0])
-    X = _subsample(F_tr, size, rng)
-    Y = _subsample(F_te, size, rng)
-    n = min(X.shape[0], Y.shape[0])
-    X, Y = X[:n], Y[:n]
+    X, Y = _paired_subsamples(F_tr, F_te, n_sub, rng or Rng(0))
+    n = X.shape[0]
 
     pooled = np.concatenate([X, Y])
     d2 = cdist(pooled, pooled, "sqeuclidean")
@@ -60,20 +61,11 @@ def emd(F_tr, F_te, n_sub=512, rng=None):
     min-cost matching, normalized by sqrt(feature dimension)."""
     if n_sub < 1:
         raise ValueError("n_sub must be >= 1")
-    rng = rng or Rng(0)
-    F_tr = np.atleast_2d(np.asarray(F_tr, dtype=np.float64))
-    F_te = np.atleast_2d(np.asarray(F_te, dtype=np.float64))
-    if F_tr.shape[0] == 0 or F_te.shape[0] == 0:
-        raise ValueError("both sets must be nonempty")
-    size = min(n_sub, F_tr.shape[0], F_te.shape[0], 512)
-    X = _subsample(F_tr, size, rng)
-    Y = _subsample(F_te, size, rng)
-    n = min(X.shape[0], Y.shape[0])
-    X, Y = X[:n], Y[:n]
+    X, Y = _paired_subsamples(F_tr, F_te, min(n_sub, 512), rng or Rng(0))
     cost = cdist(X, Y)
     rows, cols = linear_sum_assignment(cost)
     total = cost[rows, cols].sum()
-    return float(total / n / math.sqrt(X.shape[1]))
+    return float(total / X.shape[0] / math.sqrt(X.shape[1]))
 
 
 def ni(ds):
@@ -96,9 +88,10 @@ def ni(ds):
     return float(np.mean(vals))
 
 
-def compare_table(specs, mlp_cfg, est_cfg, base_seed, n_sub=512):
+def compare_table(specs, mlp_cfg, est_cfg, base_seed):
     """One record per spec, keyed by the compare.csv columns: rho_te, the
-    blue flag, then each baseline metric and each shift with its standard
+    blue flag, then each baseline metric (EMD and MMD on subsamples of up
+    to 512 rows per environment) and each shift with its standard
     error over est_cfg.n_runs freshly generated datasets."""
     est_cfg.validate()
     records = []
@@ -111,8 +104,8 @@ def compare_table(specs, mlp_cfg, est_cfg, base_seed, n_sub=512):
             tr = ds.envs == 0
             F_tr, F_te = ds.features[tr], ds.features[~tr]
             runs.append((
-                emd(F_tr, F_te, n_sub, rng),
-                mmd(F_tr, F_te, n_sub, rng),
+                emd(F_tr, F_te, 512, rng),
+                mmd(F_tr, F_te, 512, rng),
                 ni(ds),
                 *_run(ds, mlp_cfg, est_cfg, seed + 1)[0],
             ))

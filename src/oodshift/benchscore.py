@@ -7,6 +7,7 @@ strict inequalities (a value exactly on the edge scores 0).
 """
 
 import csv
+import math
 from dataclasses import dataclass, field
 from importlib import resources
 
@@ -24,8 +25,8 @@ class AccuracyTable:
         for (alg, ds), (mean, stderr) in self.cells.items():
             if not 0.0 <= mean <= 100.0:
                 raise ValueError(f"mean out of [0, 100] at ({alg}, {ds}): {mean}")
-            if stderr < 0.0:
-                raise ValueError(f"negative stderr at ({alg}, {ds}): {stderr}")
+            if not 0.0 <= stderr < math.inf:
+                raise ValueError(f"stderr not finite and >= 0 at ({alg}, {ds}): {stderr}")
         for alg in self.algorithms:
             for ds in self.datasets:
                 if (alg, ds) not in self.cells:
@@ -82,6 +83,8 @@ def load_accuracy_table(path_or_file, reference="ERM"):
             algorithms.append(alg)
         if ds not in datasets:
             datasets.append(ds)
+        if (alg, ds) in cells:
+            raise ValueError(f"repeated row ({alg}, {ds})")
         cells[alg, ds] = (float(row["mean"]), float(row["stderr"]))
     return AccuracyTable(
         algorithms=tuple(algorithms),

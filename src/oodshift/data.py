@@ -6,32 +6,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 
-class Rng:
-    """Deterministic random source backed by NumPy's PCG64.
+def Rng(seed):
+    """Deterministic random source: a NumPy ``Generator`` on PCG64.
 
     The generator algorithm is fixed (PCG64) so that identical seeds yield
     identical draw sequences across releases. A single Rng must not be
     shared across concurrent tasks.
     """
-
-    def __init__(self, seed):
-        self.seed = int(seed)
-        self._gen = np.random.Generator(np.random.PCG64(self.seed))
-
-    def uniform(self, low=0.0, high=1.0, size=None):
-        return self._gen.uniform(low, high, size)
-
-    def normal(self, loc=0.0, scale=1.0, size=None):
-        return self._gen.normal(loc, scale, size)
-
-    def integers(self, low, high, size=None):
-        return self._gen.integers(low, high, size)
-
-    def choice(self, a, size=None, replace=True, p=None):
-        return self._gen.choice(a, size=size, replace=replace, p=p)
-
-    def permutation(self, n):
-        return self._gen.permutation(n)
+    return np.random.Generator(np.random.PCG64(int(seed)))
 
 
 @dataclass(frozen=True)

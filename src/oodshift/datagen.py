@@ -51,18 +51,10 @@ class ColoredSpec:
 
 
 def irm_colored_default(n_per_env=2000):
-    """Canonical single-train-env configuration: flip probabilities 0.1/0.9,
-    25% label noise, no blue channel."""
-    return ColoredSpec(
-        rho_tr=0.1,
-        rho_te=0.9,
-        mu_tr=0.0,
-        mu_te=0.0,
-        sigma_tr=0.0,
-        sigma_te=0.0,
-        label_noise=0.25,
-        n_per_env=n_per_env,
-    )
+    """Canonical single-train-env configuration, which is ColoredSpec's
+    defaults: flip probabilities rho_tr=0.1/rho_te=0.9, label_noise=0.25,
+    and no blue channel (mu and sigma 0 in both environments)."""
+    return ColoredSpec(n_per_env=n_per_env)
 
 
 def _truncated_normal(mu, sigma, n, rng):

@@ -288,10 +288,8 @@ def train(ds, cfg, rng):
 def extract(model, data):
     """Apply the feature extractor to a dataset or raw feature matrix."""
     x = data.features if isinstance(data, LabeledDataset) else np.asarray(data)
-    if x.ndim != 2 or (x.shape[0] and x.shape[1] != model.in_dim):
+    if x.ndim != 2 or x.shape[1] != model.in_dim:
         raise ValueError(f"expected (n, {model.in_dim}) input, got {x.shape}")
-    if x.shape[0] == 0:
-        return np.empty((0, model.feature_dim))
     f, _ = _mlp_forward(model.g_layers, x)
     return f
 

@@ -141,7 +141,7 @@ def test_compare_table_rows_and_averaging():
     mlp = MlpConfig(in_dim=48, n_classes=2, hidden_dims=(8,), iters=40,
                     checkpoint_every=20)
     est = EstimatorConfig(n_runs=2, n_mc_samples=500)
-    rows = compare_table(specs, mlp, est, base_seed=60, n_sub=60)
+    rows = compare_table(specs, mlp, est, base_seed=60)
     assert len(rows) == 2
     assert [(r["rho_te"], r["blue"]) for r in rows] == [(0.9, 0), (0.1, 1)]
     for row in rows:
@@ -155,6 +155,6 @@ def test_compare_table_rows_and_averaging():
     for run in range(2):
         rng = Rng(60 + 1000 * run)
         ds = gen_colored(specs[0], rng)
-        emds.append(emd(ds.features[ds.envs == 0], ds.features[ds.envs == 1], 60, rng))
+        emds.append(emd(ds.features[ds.envs == 0], ds.features[ds.envs == 1], 512, rng))
     assert rows[0]["emd"] == np.mean(emds)
     assert rows[0]["emd_stderr"] == np.std(emds, ddof=1) / math.sqrt(2)

@@ -88,6 +88,30 @@ def test_load_accuracy_table_bad_header():
         load_accuracy_table(io.StringIO("alg,ds,m,s\nERM,D1,80,0.5\n"))
 
 
+def test_load_accuracy_table_rejects_repeated_row():
+    csv_text = (
+        "algorithm,dataset,mean,stderr\n"
+        "ERM,A,80,1\n"
+        "ERM,A,10,1\n"
+        "X,A,85,1\n"
+    )
+    with pytest.raises(ValueError, match=r"repeated row \(ERM, A\)"):
+        load_accuracy_table(io.StringIO(csv_text))
+
+
+@pytest.mark.parametrize("column", ["mean", "stderr"])
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_load_accuracy_table_rejects_non_finite(column, value):
+    cell = {"mean": "80", "stderr": "1", column: value}
+    csv_text = (
+        "algorithm,dataset,mean,stderr\n"
+        f"ERM,A,{cell['mean']},{cell['stderr']}\n"
+        "X,A,95,1\n"
+    )
+    with pytest.raises(ValueError, match=column):
+        load_accuracy_table(io.StringIO(csv_text))
+
+
 def test_table_missing_cell():
     with pytest.raises(ValueError, match="missing cell"):
         AccuracyTable(

@@ -216,6 +216,18 @@ def test_score_without_inputs_exit_2(capsys):
     assert rc == 2
 
 
+@pytest.mark.parametrize("rows", [
+    "ERM,A,80,1\nERM,A,10,1\nX,A,85,1\n",
+    "ERM,A,80,nan\nX,A,95,1\n",
+], ids=["repeated-row", "nan-stderr"])
+def test_score_bad_table_exit_2(tmp_path, capsys, rows):
+    table = tmp_path / "table.csv"
+    table.write_text("algorithm,dataset,mean,stderr\n" + rows)
+    rc = main(["score", "--table", str(table)])
+    assert rc == 2
+    assert "error" in capsys.readouterr().err
+
+
 def test_malformed_csv_exit_2(tmp_path, capsys):
     bad = tmp_path / "bad.csv"
     bad.write_text("env,label,x0\n5,0,1.0\n")

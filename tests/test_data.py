@@ -20,6 +20,19 @@ def test_rng_same_seed_same_stream():
     assert np.array_equal(a.integers(0, 100, 10_000), b.integers(0, 100, 10_000))
 
 
+def test_rng_is_numpy_pcg64_generator():
+    # the algorithm is pinned: Rng(s) draws exactly what NumPy's PCG64
+    # Generator seeded with s draws, for every method the library uses
+    for seed in (0, 7, 2**40 + 3):
+        a, b = Rng(seed), np.random.Generator(np.random.PCG64(seed))
+        assert np.array_equal(a.integers(0, 100, 50), b.integers(0, 100, 50))
+        assert np.array_equal(a.normal(1.0, 2.0, (5, 3)), b.normal(1.0, 2.0, (5, 3)))
+        assert np.array_equal(a.uniform(size=50), b.uniform(size=50))
+        assert np.array_equal(a.choice(20, size=8, replace=False),
+                              b.choice(20, size=8, replace=False))
+        assert np.array_equal(a.permutation(30), b.permutation(30))
+
+
 def test_rng_different_seeds_differ():
     assert not np.array_equal(Rng(0).uniform(size=100), Rng(1).uniform(size=100))
 

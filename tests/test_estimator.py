@@ -193,6 +193,32 @@ def test_estimate_invariant_to_class_relabelling(new_labels):
     assert moved == pytest.approx(base, abs=1e-12)
 
 
+def _latent_a_with_noise_column(n):
+    F_tr, F_te, y_tr, y_te = _latent_features(n=n)
+    noise = Rng(16).normal(size=(2 * n, 1))
+    return np.hstack([F_tr, noise[:n]]), np.hstack([F_te, noise[n:]]), y_tr, y_te
+
+
+_AFFINE_DATA = _latent_a_with_noise_column(300)
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    st.lists(st.floats(-3.0, 3.0), min_size=2, max_size=2),
+    st.lists(st.floats(-100.0, 100.0), min_size=2, max_size=2),
+)
+def test_estimate_invariant_to_affine_features(log10_scales, shifts):
+    # the pool is standardized before any kernel is fitted, so one positive
+    # scale and one shift per dimension, applied to both environments,
+    # leave both estimates unchanged up to rounding
+    F_tr, F_te, y_tr, y_te = _AFFINE_DATA
+    scale, shift = 10.0 ** np.asarray(log10_scales), np.asarray(shifts)
+    cfg = EstimatorConfig(n_runs=1, n_mc_samples=500, bandwidth_scale=0.5)
+    base = estimate(F_tr, F_te, y_tr, y_te, cfg, Rng(17))[:2]
+    moved = estimate(F_tr * scale + shift, F_te * scale + shift, y_tr, y_te, cfg, Rng(17))[:2]
+    assert moved == pytest.approx(base, abs=1e-9)
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_estimate_rejects_non_finite_features(bad):
     F_tr, F_te, y_tr, y_te = _latent_features(n=200)
