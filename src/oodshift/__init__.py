@@ -13,7 +13,7 @@ from .datagen import (
     latent_spec_tv,
     random_latent_spec,
 )
-from .density import KdeModel, Standardizer, fit_standardizer, kde_fit, kde_logpdf, kde_pdf, kde_sample
+from .density import KdeModel, kde_fit, kde_logpdf, kde_pdf, kde_sample
 from .discriminator import ExtractorModel, MlpConfig, extract, grad_check, train
 from .estimator import (
     EstimatorConfig,
@@ -37,8 +37,7 @@ __all__ = [
     "LabeledDataset", "Rng", "load_csv", "save_csv", "split_train_val",
     "ColoredSpec", "LatentSpec", "gen_colored", "gen_latent", "irm_colored_default",
     "latent_spec_a", "latent_spec_tv", "random_latent_spec",
-    "KdeModel", "Standardizer", "fit_standardizer", "kde_fit", "kde_logpdf", "kde_pdf",
-    "kde_sample",
+    "KdeModel", "kde_fit", "kde_logpdf", "kde_pdf", "kde_sample",
     "ExtractorModel", "MlpConfig", "extract", "grad_check", "train",
     "EstimatorConfig", "ShiftEstimate", "estimate", "estimate_pipeline", "oracle_shift",
     "sweep",

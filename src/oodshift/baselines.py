@@ -15,15 +15,20 @@ from .datagen import gen_colored
 from .estimator import _mean_stderr, _run
 
 
-def _paired_subsamples(F_tr, F_te, n_sub, rng):
-    """Both sets as float64 matrices of size = min(n_sub, rows of each) rows,
+_N_SUB = 512  # rows per environment that mmd and emd compare
+
+
+def _paired_subsamples(F_tr, F_te, rng):
+    """Both sets as float64 matrices of size = min(_N_SUB, rows of each) rows,
     drawn without replacement from F_tr first, then from F_te; a set of
     exactly size rows is kept whole, in order."""
-    F_tr = np.atleast_2d(np.asarray(F_tr, dtype=np.float64))
-    F_te = np.atleast_2d(np.asarray(F_te, dtype=np.float64))
+    F_tr = np.asarray(F_tr, dtype=np.float64)
+    F_te = np.asarray(F_te, dtype=np.float64)
+    if F_tr.ndim != 2 or F_te.ndim != 2:
+        raise ValueError("both sets must be 2-D (rows, features)")
     if F_tr.shape[0] == 0 or F_te.shape[0] == 0:
         raise ValueError("both sets must be nonempty")
-    size = min(n_sub, F_tr.shape[0], F_te.shape[0])
+    size = min(_N_SUB, F_tr.shape[0], F_te.shape[0])
     if F_tr.shape[0] > size:
         F_tr = F_tr[rng.choice(F_tr.shape[0], size=size, replace=False)]
     if F_te.shape[0] > size:
@@ -31,14 +36,14 @@ def _paired_subsamples(F_tr, F_te, n_sub, rng):
     return F_tr, F_te
 
 
-def mmd(F_tr, F_te, n_sub=2000, rng=None):
+def mmd(F_tr, F_te, rng=None):
     """Square root of the unbiased quadratic-time MMD^2 with a Gaussian
     kernel; bandwidth is the median pairwise distance of the pooled
     subsample (median heuristic). Clamped at 0 before the root."""
-    if n_sub < 2:
-        raise ValueError("n_sub must be >= 2")
-    X, Y = _paired_subsamples(F_tr, F_te, n_sub, rng or Rng(0))
+    X, Y = _paired_subsamples(F_tr, F_te, rng or Rng(0))
     n = X.shape[0]
+    if n < 2:
+        raise ValueError("mmd needs at least 2 rows per set")
 
     pooled = np.concatenate([X, Y])
     d2 = cdist(pooled, pooled, "sqeuclidean")
@@ -56,12 +61,10 @@ def mmd(F_tr, F_te, n_sub=2000, rng=None):
     return math.sqrt(max(0.0, mmd2))
 
 
-def emd(F_tr, F_te, n_sub=512, rng=None):
+def emd(F_tr, F_te, rng=None):
     """1-Wasserstein distance between equal-size subsamples via exact
     min-cost matching, normalized by sqrt(feature dimension)."""
-    if n_sub < 1:
-        raise ValueError("n_sub must be >= 1")
-    X, Y = _paired_subsamples(F_tr, F_te, min(n_sub, 512), rng or Rng(0))
+    X, Y = _paired_subsamples(F_tr, F_te, rng or Rng(0))
     cost = cdist(X, Y)
     rows, cols = linear_sum_assignment(cost)
     total = cost[rows, cols].sum()
@@ -91,7 +94,7 @@ def ni(ds):
 def compare_table(specs, mlp_cfg, est_cfg, base_seed):
     """One record per spec, keyed by the compare.csv columns: rho_te, the
     blue flag, then each baseline metric (EMD and MMD on subsamples of up
-    to 512 rows per environment) and each shift with its standard
+    to _N_SUB rows per environment) and each shift with its standard
     error over est_cfg.n_runs freshly generated datasets."""
     est_cfg.validate()
     records = []
@@ -104,8 +107,8 @@ def compare_table(specs, mlp_cfg, est_cfg, base_seed):
             tr = ds.envs == 0
             F_tr, F_te = ds.features[tr], ds.features[~tr]
             runs.append((
-                emd(F_tr, F_te, 512, rng),
-                mmd(F_tr, F_te, 512, rng),
+                emd(F_tr, F_te, rng),
+                mmd(F_tr, F_te, rng),
                 ni(ds),
                 *_run(ds, mlp_cfg, est_cfg, seed + 1)[0],
             ))

@@ -33,23 +33,21 @@ def _preset(name_args, n_per_env):
         raise UserError("a --preset or --data input is required")
     name, *extra = name_args
     if name == "iid":
-        return "colored", ColoredSpec(rho_tr=0.1, rho_te=0.1, n_per_env=n_per_env)
+        return ColoredSpec(rho_tr=0.1, rho_te=0.1, n_per_env=n_per_env)
     if name == "irm-cmnist":
-        return "colored", irm_colored_default(n_per_env)
+        return irm_colored_default(n_per_env)
     if name == "cmnist-rho":
         if len(extra) != 2:
             raise UserError("preset cmnist-rho needs two values: --preset cmnist-rho A B")
         a, b = float(extra[0]), float(extra[1])
-        return "colored", ColoredSpec(
-            rho_tr=a, rho_te=b, label_noise=0.0, n_per_env=n_per_env
-        )
+        return ColoredSpec(rho_tr=a, rho_te=b, label_noise=0.0, n_per_env=n_per_env)
     if name == "cmnist-blue":
-        return "colored", ColoredSpec(
+        return ColoredSpec(
             rho_tr=0.1, rho_te=0.1, mu_tr=0.0, mu_te=1.0,
             sigma_tr=0.1, sigma_te=0.1, n_per_env=n_per_env,
         )
     if name == "latent-a":
-        return "latent", latent_spec_a()
+        return latent_spec_a()
     raise UserError(f"unknown preset {name!r}")
 
 
@@ -100,18 +98,18 @@ def _merged_spec(args, config):
     if not args.preset:
         if "spec" not in config:
             raise UserError("no dataset spec: pass --preset or a config with a 'spec' block")
-        return "colored", ColoredSpec(**overrides)
-    kind, spec = _preset(args.preset, args.n_per_env)
+        return ColoredSpec(**overrides)
+    spec = _preset(args.preset, args.n_per_env)
     if "spec" in config:
-        if kind != "colored":
+        if not isinstance(spec, ColoredSpec):
             raise UserError(_SPEC_ONLY_COLORED)
         spec = dataclasses.replace(spec, **overrides)
-    return kind, spec
+    return spec
 
 
 def _mlp_config(in_dim, n_classes, config, args):
     fields = _config_block(config, "mlp", MlpConfig, ("in_dim", "n_classes"))
-    if getattr(args, "iters", None) is not None:
+    if args.iters is not None:
         fields["iters"] = args.iters
     if "hidden_dims" in fields:
         fields["hidden_dims"] = tuple(fields["hidden_dims"])
@@ -120,9 +118,9 @@ def _mlp_config(in_dim, n_classes, config, args):
 
 def _est_config(config, args):
     fields = _config_block(config, "estimator", EstimatorConfig)
-    if getattr(args, "runs", None) is not None:
+    if args.runs is not None:
         fields["n_runs"] = args.runs
-    if getattr(args, "mc_samples", None) is not None:
+    if args.mc_samples is not None:
         fields["n_mc_samples"] = args.mc_samples
     return EstimatorConfig(**fields)
 
@@ -154,9 +152,9 @@ def _build_dataset(args, config):
         if "spec" in config:
             raise UserError(_SPEC_ONLY_COLORED)
         return load_csv(args.data), {"data": args.data}
-    kind, spec = _merged_spec(args, config)
+    spec = _merged_spec(args, config)
     rng = Rng(args.seed)
-    if kind == "latent":
+    if not isinstance(spec, ColoredSpec):
         ds = gen_latent(spec, args.n_per_env, rng, noise_std=args.latent_noise)
         return ds, {"spec": json.loads(spec.to_json()), "kind": "latent"}
     ds = gen_colored(spec, rng)
@@ -192,7 +190,7 @@ def cmd_estimate(args):
     doc = {
         "seed": args.seed,
         "estimator": dataclasses.asdict(est_cfg),
-        "result": result.to_dict(),
+        "result": dataclasses.asdict(result),
     }
     (out / "result.json").write_text(json.dumps(doc, indent=2, sort_keys=True))
     print(f"d_div = {result.d_div:.4f} +- {result.stderr_div:.4f}")
@@ -203,8 +201,8 @@ def cmd_estimate(args):
 def cmd_sweep(args):
     config = _load_config(args.config)
     out = _prepare_out(args)
-    kind, spec = _merged_spec(args, config)
-    if kind != "colored":
+    spec = _merged_spec(args, config)
+    if not isinstance(spec, ColoredSpec):
         raise UserError("sweep requires a colored-digit spec")
     axis1, axis2 = {
         "rho": ("rho_tr", "rho_te"),
@@ -216,7 +214,7 @@ def cmd_sweep(args):
             raise UserError(f"grid value out of [0, 1]: {v}")
     mlp_cfg = _mlp_config(3 * spec.image_side**2, 2, config, args)
     est_cfg = _est_config(config, args)
-    if getattr(args, "runs", None) is None:
+    if args.runs is None and "n_runs" not in config.get("estimator", {}):
         est_cfg = dataclasses.replace(est_cfg, n_runs=1)
     _echo_config(out, args, {
         "spec": json.loads(spec.to_json()), "axes": args.axes, "grid": values,
@@ -242,7 +240,7 @@ def cmd_compare(args):
     out = _prepare_out(args)
     irm = irm_colored_default(args.n_per_env)
     specs = [dataclasses.replace(irm, rho_te=r) for r in (0.9, 0.7, 0.5, 0.3, 0.1)]
-    specs.append(_preset(["cmnist-blue"], args.n_per_env)[1])
+    specs.append(_preset(["cmnist-blue"], args.n_per_env))
     mlp_cfg = _mlp_config(3 * specs[0].image_side**2, 2, config, args)
     est_cfg = _est_config(config, args)
     _echo_config(out, args, {
@@ -264,7 +262,7 @@ def cmd_compare(args):
 
 def cmd_score(args):
     if args.fixture:
-        table = benchscore.load_fixture(args.fixture)
+        table = dataclasses.replace(benchscore.load_fixture(args.fixture), reference=args.ref)
     elif args.table:
         table = benchscore.load_accuracy_table(args.table, reference=args.ref)
     else:
@@ -332,8 +330,9 @@ def build_parser():
     p_cmp.set_defaults(func=cmd_compare)
 
     p_score = sub.add_parser("score", help="ranking scores for an accuracy table")
-    p_score.add_argument("--table", help="CSV with algorithm,dataset,mean,stderr")
-    p_score.add_argument("--fixture", choices=("diversity", "correlation"))
+    source = p_score.add_mutually_exclusive_group()
+    source.add_argument("--table", help="CSV with algorithm,dataset,mean,stderr")
+    source.add_argument("--fixture", choices=("diversity", "correlation"))
     p_score.add_argument("--ref", default="ERM")
     p_score.add_argument("--json", action="store_true")
     p_score.set_defaults(func=cmd_score)

@@ -221,24 +221,24 @@ def latent_spec_tv(tv):
     )
 
 
-def _ipf_joint(z_marg, y_marg, seed_matrix, iters=2000, tol=1e-14):
+def _ipf_joint(z_marg, y_marg, seed_matrix):
     """Scale a positive matrix to given row/column marginals (Sinkhorn/IPF)."""
     joint = seed_matrix.copy()
     active = z_marg > 0
     joint[~active] = 0.0
-    for _ in range(iters):
+    for _ in range(2000):
         rows = joint.sum(axis=1)
         joint[active] *= (z_marg[active] / rows[active])[:, None]
         cols = joint.sum(axis=0)
         joint *= y_marg / cols
         rows = joint.sum(axis=1)
-        if np.abs(rows - z_marg).max() < tol:
+        if np.abs(rows - z_marg).max() < 1e-14:
             break
     return joint
 
 
-def random_latent_spec(rng, n_support=4, n_classes=2, p_zero=0.3):
-    """Draw a random valid spec; some atoms may be zeroed in one environment.
+def random_latent_spec(rng, n_support=4, n_classes=2):
+    """Draw a random valid spec; each atom is zeroed with probability 0.3 per environment.
 
     The no-label-shift constraint is met by fitting both conditional tables
     to one shared class marginal via iterative proportional fitting.
@@ -249,7 +249,7 @@ def random_latent_spec(rng, n_support=4, n_classes=2, p_zero=0.3):
 
     def marginal():
         z = rng.uniform(0.05, 1.0, k)
-        dead = rng.uniform(size=k) < p_zero
+        dead = rng.uniform(size=k) < 0.3
         if dead.all():
             dead[rng.integers(0, k)] = False
         z[dead] = 0.0

@@ -10,13 +10,13 @@ the measured class priors.
 """
 
 import math
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .data import Rng
 from .datagen import gen_colored
-from .density import fit_standardizer, kde_fit, kde_logpdf, kde_sample
+from .density import kde_fit, kde_logpdf, kde_sample
 from .discriminator import extract, train
 
 # a draw lies in the diversity region when p or q is below _EPS_DIV, and in
@@ -51,9 +51,6 @@ class ShiftEstimate:
     over_one_flag: bool
     diagnostics: dict = field(default_factory=dict)
 
-    def to_dict(self):
-        return asdict(self)
-
 
 def oracle_shift(spec):
     """Exact diversity/correlation shift of a discrete latent spec.
@@ -77,10 +74,10 @@ def estimate(F_tr, F_te, labels_tr, labels_te, cfg, rng):
     exceed 1.
     """
     cfg.validate()
-    F_tr = np.atleast_2d(np.asarray(F_tr, dtype=np.float64))
-    F_te = np.atleast_2d(np.asarray(F_te, dtype=np.float64))
+    F_tr = np.asarray(F_tr, dtype=np.float64)
+    F_te = np.asarray(F_te, dtype=np.float64)
     if F_tr.ndim != 2 or F_te.ndim != 2 or F_tr.shape[1] != F_te.shape[1]:
-        raise ValueError("feature matrices must share one dimensionality")
+        raise ValueError("feature matrices must be 2-D and share one dimensionality")
     if F_tr.shape[0] < 2 or F_te.shape[0] < 2:
         raise ValueError("need at least 2 rows per environment")
     if not (np.isfinite(F_tr).all() and np.isfinite(F_te).all()):
@@ -95,7 +92,8 @@ def estimate(F_tr, F_te, labels_tr, labels_te, cfg, rng):
     n_tr, n_te = F_tr.shape[0], F_te.shape[0]
     n = n_tr + n_te
     pooled = np.concatenate([F_tr, F_te])
-    pooled_s = fit_standardizer(pooled).apply(pooled)
+    # a constant column's std is floored so that it standardizes to 0
+    pooled_s = (pooled - pooled.mean(axis=0)) / np.maximum(pooled.std(axis=0), 1e-8)
 
     # shared unit kernel scale: the pool is standardized, and giving both
     # environment fits the same per-dim scale keeps their densities comparable

@@ -80,18 +80,25 @@ def test_subsampling_caps_input():
     A = r.normal(size=(700, 2))
     B = r.normal(0.3, 1.0, (650, 2))
     # must terminate quickly and give a sane value despite n > 512
-    val = emd(A, B, n_sub=10_000, rng=Rng(7))
+    val = emd(A, B, rng=Rng(7))
     assert 0.0 < val < 2.0
 
 
 def test_metric_input_validation():
     A = np.zeros((5, 2))
-    with pytest.raises(ValueError):
-        mmd(A, A, n_sub=1)
-    with pytest.raises(ValueError):
-        emd(A, A, n_sub=0)
-    with pytest.raises(ValueError):
-        mmd(np.zeros((0, 2)), A)
+    for metric in (mmd, emd):
+        with pytest.raises(ValueError, match="nonempty"):
+            metric(np.zeros((0, 2)), A)
+        # a 1-D array is neither one row nor one column
+        with pytest.raises(ValueError, match="2-D"):
+            metric(np.array([0.0, 1.0]), np.array([1.0, 0.0]))
+        with pytest.raises(ValueError, match="2-D"):
+            metric(A, A[:, 0])
+    # the unbiased MMD^2 divides by n (n - 1)
+    with pytest.raises(ValueError, match="at least 2 rows"):
+        mmd(np.zeros((1, 2)), np.ones((1, 2)))
+    with pytest.raises(ValueError, match="at least 2 rows"):
+        mmd(A, np.ones((1, 2)))
 
 
 # ---------------------------------------------------------------------------
@@ -155,6 +162,6 @@ def test_compare_table_rows_and_averaging():
     for run in range(2):
         rng = Rng(60 + 1000 * run)
         ds = gen_colored(specs[0], rng)
-        emds.append(emd(ds.features[ds.envs == 0], ds.features[ds.envs == 1], 512, rng))
+        emds.append(emd(ds.features[ds.envs == 0], ds.features[ds.envs == 1], rng))
     assert rows[0]["emd"] == np.mean(emds)
     assert rows[0]["emd_stderr"] == np.std(emds, ddof=1) / math.sqrt(2)

@@ -106,14 +106,15 @@ def test_estimate_from_csv_data(tmp_path):
 # sweep
 
 
-def test_sweep_grid_csv(tmp_path):
+def _sweep_grid_csv(tmp_path, axes, header):
+    # the config's n_runs replaces sweep's default of one run per cell
     cfg = _write_config(tmp_path, {
         "mlp": {"hidden_dims": [8], "iters": 40, "checkpoint_every": 20},
-        "estimator": {"n_mc_samples": 500},
+        "estimator": {"n_mc_samples": 500, "n_runs": 2},
     })
     out = tmp_path / "out"
     rc = main([
-        "sweep", "--preset", "cmnist-rho", "0.1", "0.9",
+        "sweep", "--preset", "cmnist-rho", "0.1", "0.9", "--axes", axes,
         "--grid", "0.2", "0.8", "--n-per-env", "60",
         "--seed", "7", "--config", cfg, "--out", str(out),
     ])
@@ -121,11 +122,18 @@ def test_sweep_grid_csv(tmp_path):
     with open(out / "sweep.csv") as fh:
         rows = list(csv.DictReader(fh))
     assert len(rows) == 4
-    assert set(rows[0].keys()) == {
-        "rho_tr", "rho_te", "d_div", "d_cor", "stderr_div", "stderr_cor"
-    }
+    assert list(rows[0].keys()) == [*header, "d_div", "d_cor", "stderr_div", "stderr_cor"]
     for row in rows:
         assert float(row["d_div"]) >= 0.0
+    assert json.loads((out / "config.json").read_text())["estimator"]["n_runs"] == 2
+
+
+def test_sweep_grid_csv(tmp_path):
+    _sweep_grid_csv(tmp_path, "rho", ["rho_tr", "rho_te"])
+
+
+def test_sweep_grid_csv_mu_axes(tmp_path):
+    _sweep_grid_csv(tmp_path, "mu", ["mu_tr", "mu_te"])
 
 
 # ---------------------------------------------------------------------------
@@ -180,6 +188,22 @@ def test_score_custom_table(tmp_path, capsys):
     assert rc == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["ranking_scores"] == {"ERM": 0, "ALG": 1}
+
+
+def test_score_fixture_ref(capsys):
+    # --ref applies to a bundled fixture as it does to --table
+    rc = main(["score", "--fixture", "diversity", "--ref", "IRM", "--json"])
+    assert rc == 0
+    assert json.loads(capsys.readouterr().out)["ranking_scores"]["IRM"] == 0
+    assert main(["score", "--fixture", "diversity", "--ref", "NOPE"]) == 2
+
+
+def test_score_table_and_fixture_exclusive(tmp_path):
+    table = tmp_path / "table.csv"
+    table.write_text("algorithm,dataset,mean,stderr\nERM,D1,80.0,0.5\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["score", "--table", str(table), "--fixture", "diversity"])
+    assert exc.value.code == 2
 
 
 def test_score_text_output(capsys):

@@ -144,8 +144,15 @@ def test_estimate_nonnegative():
 
 
 def test_estimate_rejects_dim_mismatch():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="2-D"):
         estimate(np.zeros((10, 2)), np.zeros((10, 3)), np.zeros(10, int),
+                 np.zeros(10, int), EstimatorConfig(n_runs=1), Rng(0))
+    # 1-D vectors are not read as one row or one column
+    with pytest.raises(ValueError, match="2-D"):
+        estimate(np.zeros(10), np.zeros(10), np.zeros(10, int),
+                 np.zeros(10, int), EstimatorConfig(n_runs=1), Rng(0))
+    with pytest.raises(ValueError, match="at least 2 rows"):
+        estimate(np.zeros((1, 2)), np.zeros((10, 2)), np.zeros(1, int),
                  np.zeros(10, int), EstimatorConfig(n_runs=1), Rng(0))
 
 
@@ -217,6 +224,22 @@ def test_estimate_invariant_to_affine_features(log10_scales, shifts):
     base = estimate(F_tr, F_te, y_tr, y_te, cfg, Rng(17))[:2]
     moved = estimate(F_tr * scale + shift, F_te * scale + shift, y_tr, y_te, cfg, Rng(17))[:2]
     assert moved == pytest.approx(base, abs=1e-9)
+
+
+def test_estimate_constant_feature_column():
+    # a column with one value in both environments carries no information;
+    # its std is floored, so it standardizes to 0 whatever the value, and
+    # a zero column must not collapse the estimate to (0, 0)
+    F_tr, F_te, y_tr, y_te = _latent_features()
+    cfg = EstimatorConfig(n_runs=1, n_mc_samples=4000, bandwidth_scale=0.5)
+    results = []
+    for value in (0.0, 0.1, 7.3):
+        pad_tr = np.full((F_tr.shape[0], 1), value)
+        pad_te = np.full((F_te.shape[0], 1), value)
+        F2_tr, F2_te = np.hstack([F_tr, pad_tr]), np.hstack([F_te, pad_te])
+        results.append(estimate(F2_tr, F2_te, y_tr, y_te, cfg, Rng(1))[:2])
+    assert results[0] == results[1] == results[2]
+    assert results[0][1] == pytest.approx(0.4, abs=0.1)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -315,7 +338,7 @@ def test_pipeline_to_dict_round_trips_json():
 
     ds, mlp, est = _pipeline_setup()
     result = estimate_pipeline(ds, mlp, est, base_seed=43)
-    doc = json.loads(json.dumps(result.to_dict()))
+    doc = json.loads(json.dumps(dataclasses.asdict(result)))
     assert doc["d_div"] == result.d_div
 
 
