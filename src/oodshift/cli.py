@@ -28,27 +28,31 @@ class UserError(ValueError):
     pass
 
 
-def _preset(name_args, n_per_env):
-    if not name_args:
-        raise UserError("a --preset or --data input is required")
+_PRESETS = {
+    "iid": lambda: ColoredSpec(rho_tr=0.1, rho_te=0.1),
+    "irm-cmnist": irm_colored_default,
+    "cmnist-blue": lambda: ColoredSpec(
+        rho_tr=0.1, rho_te=0.1, mu_te=1.0, sigma_tr=0.1, sigma_te=0.1),
+    "latent-a": latent_spec_a,
+}
+_LATENT_NOISE = 0.05  # the observation noise of the latent-a preset
+
+
+def _preset(name_args):
     name, *extra = name_args
-    if name == "iid":
-        return ColoredSpec(rho_tr=0.1, rho_te=0.1, n_per_env=n_per_env)
-    if name == "irm-cmnist":
-        return irm_colored_default(n_per_env)
     if name == "cmnist-rho":
         if len(extra) != 2:
             raise UserError("preset cmnist-rho needs two values: --preset cmnist-rho A B")
-        a, b = float(extra[0]), float(extra[1])
-        return ColoredSpec(rho_tr=a, rho_te=b, label_noise=0.0, n_per_env=n_per_env)
-    if name == "cmnist-blue":
-        return ColoredSpec(
-            rho_tr=0.1, rho_te=0.1, mu_tr=0.0, mu_te=1.0,
-            sigma_tr=0.1, sigma_te=0.1, n_per_env=n_per_env,
-        )
-    if name == "latent-a":
-        return latent_spec_a()
-    raise UserError(f"unknown preset {name!r}")
+        try:
+            a, b = map(float, extra)
+        except ValueError:
+            raise UserError(f"preset cmnist-rho values must be numbers, got {extra}") from None
+        return ColoredSpec(rho_tr=a, rho_te=b, label_noise=0.0)
+    if name not in _PRESETS:
+        raise UserError(f"unknown preset {name!r}")
+    if extra:
+        raise UserError(f"preset {name} takes no values, got {extra}")
+    return _PRESETS[name]()
 
 
 def _load_config(path):
@@ -76,53 +80,46 @@ _JSON_TYPES = {
 _SPEC_ONLY_COLORED = "config block 'spec' applies only to colored-digit presets"
 
 
-def _config_block(config, name, target, cli_set=()):
-    """The config file's `name` block, checked to be a JSON object whose keys
-    are fields of the dataclass `target`, other than those the CLI sets, and
-    whose values have the JSON type of their field."""
+def _merged(config, name, base, **flags):
+    """`base` updated by the config file's `name` block, a JSON object of fields
+    of `base` with values of their JSON type, then by each flag given (not None)."""
     block = config.get(name, {})
     if not isinstance(block, dict):
         raise UserError(f"config block {name!r} must be a JSON object")
-    types = {f.name: f.type for f in dataclasses.fields(target) if f.name not in cli_set}
+    types = {f.name: f.type for f in dataclasses.fields(base)}
+    fields = {}
     for key, value in block.items():
         if key not in types:
             raise UserError(f"config block {name!r} has unsupported key {key!r}")
         accepts, kind = _JSON_TYPES[types[key]]
         if not accepts(value):
             raise UserError(f"config block {name!r} key {key!r} must be {kind}, got {value!r}")
-    return dict(block)
+        fields[key] = tuple(value) if isinstance(value, list) else value
+    fields.update((key, value) for key, value in flags.items() if value is not None)
+    return dataclasses.replace(base, **fields)
 
 
-def _merged_spec(args, config):
-    overrides = _config_block(config, "spec", ColoredSpec)
-    if not args.preset:
-        if "spec" not in config:
-            raise UserError("no dataset spec: pass --preset or a config with a 'spec' block")
-        return ColoredSpec(**overrides)
-    spec = _preset(args.preset, args.n_per_env)
+def _spec(args, config):
+    if args.preset:
+        spec = _preset(args.preset)
+    elif "spec" in config:
+        spec = ColoredSpec()
+    else:
+        raise UserError("no dataset spec: pass --preset or a config with a 'spec' block")
+    if isinstance(spec, ColoredSpec):
+        return _merged(config, "spec", spec, n_per_env=args.n_per_env)
     if "spec" in config:
-        if not isinstance(spec, ColoredSpec):
-            raise UserError(_SPEC_ONLY_COLORED)
-        spec = dataclasses.replace(spec, **overrides)
+        _merged(config, "spec", ColoredSpec())  # names a bad key first
+        raise UserError(_SPEC_ONLY_COLORED)
     return spec
 
 
-def _mlp_config(in_dim, n_classes, config, args):
-    fields = _config_block(config, "mlp", MlpConfig, ("in_dim", "n_classes"))
-    if args.iters is not None:
-        fields["iters"] = args.iters
-    if "hidden_dims" in fields:
-        fields["hidden_dims"] = tuple(fields["hidden_dims"])
-    return MlpConfig(in_dim=in_dim, n_classes=n_classes, **fields)
-
-
-def _est_config(config, args):
-    fields = _config_block(config, "estimator", EstimatorConfig)
-    if args.runs is not None:
-        fields["n_runs"] = args.runs
-    if args.mc_samples is not None:
-        fields["n_mc_samples"] = args.mc_samples
-    return EstimatorConfig(**fields)
+def _run_configs(config, args, est_base=EstimatorConfig()):
+    """The MlpConfig and EstimatorConfig of a command that runs the pipeline."""
+    return (
+        _merged(config, "mlp", MlpConfig(), iters=args.iters),
+        _merged(config, "estimator", est_base, n_runs=args.runs, n_mc_samples=args.mc_samples),
+    )
 
 
 def _prepare_out(args):
@@ -151,14 +148,18 @@ def _build_dataset(args, config):
     if getattr(args, "data", None):
         if "spec" in config:
             raise UserError(_SPEC_ONLY_COLORED)
+        if args.n_per_env is not None:
+            raise UserError("--n-per-env does not apply to --data: the CSV fixes the row count")
         return load_csv(args.data), {"data": args.data}
-    spec = _merged_spec(args, config)
+    spec = _spec(args, config)
     rng = Rng(args.seed)
-    if not isinstance(spec, ColoredSpec):
-        ds = gen_latent(spec, args.n_per_env, rng, noise_std=args.latent_noise)
-        return ds, {"spec": json.loads(spec.to_json()), "kind": "latent"}
-    ds = gen_colored(spec, rng)
-    return ds, {"spec": json.loads(spec.to_json()), "kind": "colored"}
+    if isinstance(spec, ColoredSpec):
+        return gen_colored(spec, rng), {"spec": json.loads(spec.to_json()), "kind": "colored"}
+    # the latent generator takes the colored one's default row count
+    n_per_env = ColoredSpec.n_per_env if args.n_per_env is None else args.n_per_env
+    ds = gen_latent(spec, n_per_env, rng, noise_std=_LATENT_NOISE)
+    return ds, {"spec": json.loads(spec.to_json()), "kind": "latent",
+                "n_per_env": n_per_env, "noise_std": _LATENT_NOISE}
 
 
 def cmd_generate(args):
@@ -178,8 +179,7 @@ def cmd_estimate(args):
     config = _load_config(args.config)
     out = _prepare_out(args)
     ds, meta = _build_dataset(args, config)
-    mlp_cfg = _mlp_config(ds.n_dims, ds.n_classes, config, args)
-    est_cfg = _est_config(config, args)
+    mlp_cfg, est_cfg = _run_configs(config, args)
     _echo_config(
         out, args,
         {**meta, "mlp": dataclasses.asdict(mlp_cfg), "estimator": dataclasses.asdict(est_cfg)},
@@ -201,7 +201,7 @@ def cmd_estimate(args):
 def cmd_sweep(args):
     config = _load_config(args.config)
     out = _prepare_out(args)
-    spec = _merged_spec(args, config)
+    spec = _spec(args, config)
     if not isinstance(spec, ColoredSpec):
         raise UserError("sweep requires a colored-digit spec")
     axis1, axis2 = {
@@ -212,10 +212,7 @@ def cmd_sweep(args):
     for v in values:
         if not 0.0 <= v <= 1.0:
             raise UserError(f"grid value out of [0, 1]: {v}")
-    mlp_cfg = _mlp_config(3 * spec.image_side**2, 2, config, args)
-    est_cfg = _est_config(config, args)
-    if args.runs is None and "n_runs" not in config.get("estimator", {}):
-        est_cfg = dataclasses.replace(est_cfg, n_runs=1)
+    mlp_cfg, est_cfg = _run_configs(config, args, EstimatorConfig(n_runs=1))
     _echo_config(out, args, {
         "spec": json.loads(spec.to_json()), "axes": args.axes, "grid": values,
         "mlp": dataclasses.asdict(mlp_cfg), "estimator": dataclasses.asdict(est_cfg),
@@ -238,12 +235,12 @@ def cmd_compare(args):
     if "spec" in config:
         raise UserError(_SPEC_ONLY_COLORED)
     out = _prepare_out(args)
-    irm = irm_colored_default(args.n_per_env)
+    irm = _merged(config, "spec", irm_colored_default(), n_per_env=args.n_per_env)
     specs = [dataclasses.replace(irm, rho_te=r) for r in (0.9, 0.7, 0.5, 0.3, 0.1)]
-    specs.append(_preset(["cmnist-blue"], args.n_per_env))
-    mlp_cfg = _mlp_config(3 * specs[0].image_side**2, 2, config, args)
-    est_cfg = _est_config(config, args)
+    specs.append(dataclasses.replace(_preset(["cmnist-blue"]), n_per_env=irm.n_per_env))
+    mlp_cfg, est_cfg = _run_configs(config, args)
     _echo_config(out, args, {
+        "n_per_env": irm.n_per_env,
         "mlp": dataclasses.asdict(mlp_cfg), "estimator": dataclasses.asdict(est_cfg),
     })
     t0 = time.time()
@@ -292,35 +289,36 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def common(p, pipeline=True):
         p.add_argument("--config", help="JSON config file (flags override it)")
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--out", default="out")
-        p.add_argument("--n-per-env", type=int, default=2000)
-        p.add_argument("--iters", type=int, default=None, help="discriminator steps")
-        p.add_argument("--runs", type=int, default=None, help="pipeline repetitions")
-        p.add_argument("--mc-samples", type=int, default=None)
+        p.add_argument("--n-per-env", type=int, help="rows per environment")
+        if pipeline:
+            p.add_argument("--iters", type=int, help="discriminator steps")
+            p.add_argument("--runs", type=int, help="pipeline repetitions")
+            p.add_argument("--mc-samples", type=int)
 
-    def dataset(p):
-        # compare builds its own six colored-digit datasets and takes neither
+    def preset(p):
+        # compare builds its own six colored-digit datasets and takes none
         p.add_argument("--preset", nargs="+", metavar="NAME",
                        help="iid | irm-cmnist | cmnist-rho A B | cmnist-blue | latent-a")
-        p.add_argument("--latent-noise", type=float, default=0.05)
 
     p_gen = sub.add_parser("generate", help="write a dataset CSV plus spec sidecar")
-    common(p_gen)
-    dataset(p_gen)
+    common(p_gen, pipeline=False)
+    preset(p_gen)
     p_gen.set_defaults(func=cmd_generate)
 
     p_est = sub.add_parser("estimate", help="run the full shift-estimation pipeline")
     common(p_est)
-    dataset(p_est)
-    p_est.add_argument("--data", help="existing dataset CSV instead of a preset")
+    source = p_est.add_mutually_exclusive_group()
+    preset(source)
+    source.add_argument("--data", help="existing dataset CSV instead of a preset")
     p_est.set_defaults(func=cmd_estimate)
 
     p_sweep = sub.add_parser("sweep", help="grid of estimates over color knobs")
     common(p_sweep)
-    dataset(p_sweep)
+    preset(p_sweep)
     p_sweep.add_argument("--axes", choices=("rho", "mu"), default="rho")
     p_sweep.add_argument("--grid", nargs="+", default=["0.1", "0.3", "0.5", "0.7", "0.9"])
     p_sweep.set_defaults(func=cmd_sweep)
@@ -344,7 +342,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (UserError, ParseError, FileNotFoundError, ValueError, KeyError) as exc:
+    except (UserError, ParseError, OSError, ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (RuntimeError, FloatingPointError, np.linalg.LinAlgError) as exc:

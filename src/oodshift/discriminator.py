@@ -17,8 +17,6 @@ from .data import LabeledDataset, split_train_val
 
 @dataclass(frozen=True)
 class MlpConfig:
-    in_dim: int
-    n_classes: int
     hidden_dims: tuple[int, ...] = (256, 256)
     feature_dim: int = 8
     cls_hidden_dim: int = 64  # 0 = linear head
@@ -29,8 +27,6 @@ class MlpConfig:
     checkpoint_every: int = 100
 
     def validate(self):
-        if self.in_dim < 1 or self.n_classes < 1:
-            raise ValueError("in_dim and n_classes must be >= 1")
         if self.feature_dim < 1 or self.iters < 1 or self.batch_per_env < 1:
             raise ValueError("feature_dim, iters, batch_per_env must be >= 1")
         if any(d < 1 for d in self.hidden_dims) or self.cls_hidden_dim < 0:
@@ -49,14 +45,14 @@ class ExtractorModel:
     loss_curve: list = field(default_factory=list)
 
 
-def _flat_layers(cfg, dtype=np.float64):
+def _flat_layers(cfg, in_dim, n_classes, dtype=np.float64):
     """A zeroed flat buffer and the [W, b] views of the g and h layers in it.
 
     Parameters and gradients share this layout, so Adam updates every layer
     in one elementwise pass over flat buffers.
     """
-    g_dims = [cfg.in_dim, *cfg.hidden_dims, cfg.feature_dim]
-    h_in = cfg.feature_dim + cfg.n_classes
+    g_dims = [in_dim, *cfg.hidden_dims, cfg.feature_dim]
+    h_in = cfg.feature_dim + n_classes
     h_dims = [h_in, cfg.cls_hidden_dim, 1] if cfg.cls_hidden_dim > 0 else [h_in, 1]
     shapes = [list(zip(dims, dims[1:])) for dims in (g_dims, h_dims)]
     flat = np.zeros(sum((a + 1) * b for dims in shapes for a, b in dims), dtype)
@@ -72,9 +68,9 @@ def _flat_layers(cfg, dtype=np.float64):
     return flat, *stacks
 
 
-def _init_params(cfg, rng, dtype=np.float64):
+def _init_params(cfg, in_dim, n_classes, rng, dtype=np.float64):
     """Glorot-uniform weights and zero biases, laid out by _flat_layers."""
-    flat, g_layers, h_layers = _flat_layers(cfg, dtype)
+    flat, g_layers, h_layers = _flat_layers(cfg, in_dim, n_classes, dtype)
     for W, _ in g_layers + h_layers:
         limit = np.sqrt(6.0 / sum(W.shape))
         W[...] = rng.uniform(-limit, limit, W.shape)
@@ -231,31 +227,31 @@ def train(ds, cfg, rng):
     steps (and at the final step) validation environment accuracy is measured
     and the best-scoring parameters are kept. Parameters, gradients, Adam's
     state and each batch are float32; validation runs on the float64 features.
+    The input width and class count are the dataset's.
     """
     cfg.validate()
-    if ds.n_dims != cfg.in_dim:
-        raise ValueError(f"dataset width {ds.n_dims} != cfg.in_dim {cfg.in_dim}")
     if not np.isin((0, 1), ds.envs).all():
         raise ValueError("dataset must contain both environments")
 
     train_ds, val_ds = split_train_val(ds, cfg.train_frac, rng)
-    cells = _cell_indices(train_ds.labels, train_ds.envs, cfg.n_classes)
-    eye = np.eye(cfg.n_classes, dtype=np.float32)
+    n_classes = ds.n_classes
+    cells = _cell_indices(train_ds.labels, train_ds.envs, n_classes)
+    eye = np.eye(n_classes, dtype=np.float32)
     x_tr = train_ds.features
     y_tr = eye[train_ds.labels]
     e_tr = train_ds.envs.astype(np.float32)
     x_val, y_val = val_ds.features, eye[val_ds.labels]
     e_val = val_ds.envs.astype(np.int64)
 
-    params, g_layers, h_layers = _init_params(cfg, rng, np.float32)
-    grads, g_grads, h_grads = _flat_layers(cfg, np.float32)
+    params, g_layers, h_layers = _init_params(cfg, ds.n_dims, n_classes, rng, np.float32)
+    grads, g_grads, h_grads = _flat_layers(cfg, ds.n_dims, n_classes, np.float32)
     opt = _Adam(params, grads, cfg.lr)
 
     best_acc = -1.0
     best_params = None
     loss_curve = []
     for t in range(1, cfg.iters + 1):
-        idx = _sample_batch(cells, cfg.n_classes, cfg.batch_per_env, rng)
+        idx = _sample_batch(cells, n_classes, cfg.batch_per_env, rng)
         # only the gathered batch is cast, so no float32 copy of x_tr is kept
         x = x_tr[idx].astype(np.float32)
         loss = _loss_and_grads(g_layers, h_layers, x, y_tr[idx], e_tr[idx], g_grads, h_grads)
@@ -289,19 +285,19 @@ def extract(model, data):
     return f
 
 
-def grad_check(cfg, rng):
+def grad_check(cfg, in_dim, n_classes, rng):
     """Max relative error of analytic vs central finite-difference gradients.
 
-    Checks every parameter of a freshly initialized network on one random
-    batch of 8 rows, with a finite-difference step of 1e-5.
+    Checks every parameter of a fresh network for in_dim inputs and n_classes
+    labels on one random batch of 8 rows, with a finite-difference step of 1e-5.
     """
     cfg.validate()
     batch, step = 8, 1e-5
-    x = rng.normal(0.0, 1.0, (batch, cfg.in_dim))
-    y = np.eye(cfg.n_classes)[rng.integers(0, cfg.n_classes, batch)]
+    x = rng.normal(0.0, 1.0, (batch, in_dim))
+    y = np.eye(n_classes)[rng.integers(0, n_classes, batch)]
     e = rng.integers(0, 2, batch).astype(np.float64)
-    params, g_layers, h_layers = _init_params(cfg, rng)
-    grads, g_grads, h_grads = _flat_layers(cfg)
+    params, g_layers, h_layers = _init_params(cfg, in_dim, n_classes, rng)
+    grads, g_grads, h_grads = _flat_layers(cfg, in_dim, n_classes)
     _loss_and_grads(g_layers, h_layers, x, y, e, g_grads, h_grads)
 
     max_err = 0.0

@@ -101,7 +101,7 @@ def test_criterion_02_oracle_spot_value():
 
 def test_criterion_03_estimator_vs_oracle():
     ds = gen_latent(latent_spec_a(), 2000, Rng(3), noise_std=0.05)
-    mlp = MlpConfig(in_dim=1, n_classes=2, **MLP_DEFAULTS)
+    mlp = MlpConfig(**MLP_DEFAULTS)
     result = estimate_pipeline(ds, mlp, EST_DEFAULTS, base_seed=100)
     assert result.d_div == pytest.approx(0.5, abs=0.10)
     assert result.d_cor == pytest.approx(0.4, abs=0.10)
@@ -112,7 +112,7 @@ def test_criterion_03_estimator_vs_oracle():
 
 
 def test_criterion_04_correlation_trend():
-    mlp = MlpConfig(in_dim=588, n_classes=2, **MLP_DEFAULTS)
+    mlp = MlpConfig(**MLP_DEFAULTS)
     d_cors, d_divs = [], []
     for rho_te in (0.9, 0.7, 0.5, 0.3, 0.1):
         spec = replace(irm_colored_default(), rho_te=rho_te)
@@ -134,7 +134,7 @@ def test_criterion_05_blue_diversity():
     spec = replace(irm_colored_default(), rho_te=0.1, mu_tr=0.0, mu_te=1.0,
                    sigma_tr=0.1, sigma_te=0.1)
     ds = gen_colored(spec, Rng(7))
-    mlp = MlpConfig(in_dim=588, n_classes=2, **MLP_DEFAULTS)
+    mlp = MlpConfig(**MLP_DEFAULTS)
     result = estimate_pipeline(ds, mlp, EST_DEFAULTS, base_seed=30)
     assert result.d_div >= 0.8, result.d_div
     assert result.d_cor < 0.05, result.d_cor
@@ -147,7 +147,7 @@ def test_criterion_05_blue_diversity():
 def test_criterion_06_sweep_diagonal():
     base = replace(irm_colored_default(), label_noise=0.0)
     grid = [0.1, 0.3, 0.5, 0.7, 0.9]
-    mlp = MlpConfig(in_dim=588, n_classes=2, **MLP_DEFAULTS)
+    mlp = MlpConfig(**MLP_DEFAULTS)
     est = replace(EST_DEFAULTS, n_runs=1)
     records = sweep(base, "rho_tr", grid, "rho_te", grid, mlp, est, base_seed=60)
     assert len(records) == 25
@@ -162,7 +162,7 @@ def test_criterion_06_sweep_diagonal():
 
 
 def test_criterion_07_tv_ceiling():
-    mlp = MlpConfig(in_dim=1, n_classes=2, **MLP_DEFAULTS)
+    mlp = MlpConfig(**MLP_DEFAULTS)
     for tv in (0.0, 0.3, 0.7, 1.0):
         ds = gen_latent(latent_spec_tv(tv), 10_000, Rng(11), noise_std=0.05)
         model = train(ds, mlp, Rng(500))
@@ -178,14 +178,13 @@ def test_criterion_07_tv_ceiling():
 def test_criterion_08_gradient_check():
     for seed in range(10):
         r = Rng(seed)
+        in_dim, n_classes = int(r.integers(1, 7)), int(r.integers(2, 5))
         cfg = MlpConfig(
-            in_dim=int(r.integers(1, 7)),
-            n_classes=int(r.integers(2, 5)),
             hidden_dims=tuple(int(d) for d in r.integers(2, 10, int(r.integers(0, 3)))),
             feature_dim=int(r.integers(1, 6)),
             cls_hidden_dim=int(r.integers(0, 9)),
         )
-        err = grad_check(cfg, r)
+        err = grad_check(cfg, in_dim, n_classes, r)
         assert err < 1e-4, (seed, cfg, err)
 
 

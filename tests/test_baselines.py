@@ -145,8 +145,7 @@ def test_compare_table_rows_and_averaging():
         ColoredSpec(rho_tr=0.1, rho_te=0.1, mu_tr=0.0, mu_te=1.0,
                     sigma_tr=0.1, sigma_te=0.1, n_per_env=60, image_side=4),
     ]
-    mlp = MlpConfig(in_dim=48, n_classes=2, hidden_dims=(8,), iters=40,
-                    checkpoint_every=20)
+    mlp = MlpConfig(hidden_dims=(8,), iters=40, checkpoint_every=20)
     est = EstimatorConfig(n_runs=2, n_mc_samples=500)
     rows = compare_table(specs, mlp, est, base_seed=60)
     assert len(rows) == 2

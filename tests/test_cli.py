@@ -1,5 +1,6 @@
 """Tests for the command-line interface."""
 
+import argparse
 import csv
 import dataclasses
 import json
@@ -7,7 +8,7 @@ import json
 import pytest
 
 from oodshift import ColoredSpec, EstimatorConfig, MlpConfig, load_csv
-from oodshift.cli import _JSON_TYPES, main
+from oodshift.cli import _JSON_TYPES, build_parser, main
 
 FAST_MLP = {"hidden_dims": [16], "iters": 100, "checkpoint_every": 50}
 
@@ -381,3 +382,128 @@ def test_spec_block_without_colored_preset_exit_2(tmp_path, capsys, command):
     err = capsys.readouterr().err
     assert err == "error: config block 'spec' applies only to colored-digit presets\n"
     assert not (tmp_path / "out" / "spec.json").exists()
+
+
+# ---------------------------------------------------------------------------
+# one merge rule: defaults, then the preset, then the config file, then flags
+
+
+@pytest.mark.parametrize("preset, spec, flag, rows", [
+    (["--preset", "irm-cmnist"], {"n_per_env": 30}, ["--n-per-env", "50"], 50),
+    ([], {"rho_te": 0.5}, ["--n-per-env", "50"], 50),
+    (["--preset", "irm-cmnist"], {"n_per_env": 30}, [], 30),
+], ids=["flag-over-config", "flag-with-config-spec-alone", "config-without-flag"])
+def test_n_per_env_precedence(tmp_path, preset, spec, flag, rows):
+    out = tmp_path / "out"
+    config = _write_config(tmp_path, {"spec": spec})
+    assert main(["generate", *preset, *flag, "--config", config, "--out", str(out)]) == 0
+    assert load_csv(out / "data.csv").n_rows == 2 * rows
+    assert json.loads((out / "config.json").read_text())["spec"]["n_per_env"] == rows
+
+
+def test_iters_flag_over_config(tmp_path):
+    out = tmp_path / "out"
+    config = _write_config(tmp_path, {"mlp": {"hidden_dims": [8], "iters": 9}})
+    rc = main([
+        "estimate", "--preset", "latent-a", "--n-per-env", "50", "--iters", "7",
+        "--runs", "1", "--mc-samples", "100", "--config", config, "--out", str(out),
+    ])
+    assert rc == 0
+    assert json.loads((out / "config.json").read_text())["mlp"]["iters"] == 7
+
+
+@pytest.mark.parametrize("argv", [
+    ["generate", "--preset", "iid", "--n-per-env", "20", "--iters", "5"],
+    ["sweep", "--preset", "iid", "--latent-noise", "0.1", "--grid", "0.5",
+     "--n-per-env", "20", "--iters", "2", "--mc-samples", "50"],
+    ["estimate", "--data", "X", "--preset", "iid"],
+], ids=["generate-iters", "sweep-latent-noise", "estimate-data-and-preset"])
+def test_flag_the_command_does_not_read_exit_2(tmp_path, argv):
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--out", str(tmp_path / "out")])
+    assert exc.value.code == 2
+
+
+def _registered_flags(command):
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return {opt for action in sub.choices[command]._actions for opt in action.option_strings}
+
+
+# per flag: the values a run passes, and the config.json key that records them
+_FLAG_RECORDS = {
+    "--seed": (["9"], "seed", 9),
+    "--n-per-env": (["60"], "n_per_env", 60),
+    "--iters": (["6"], "iters", 6),
+    "--runs": (["2"], "n_runs", 2),
+    "--mc-samples": (["200"], "n_mc_samples", 200),
+    "--axes": (["mu"], "axes", "mu"),
+    "--grid": (["0.2", "0.6"], "grid", [0.2, 0.6]),
+}
+
+
+def _recorded(doc, key):
+    found = [doc[key]] if key in doc else []
+    for value in doc.values():
+        if isinstance(value, dict):
+            found += _recorded(value, key)
+    return found
+
+
+@pytest.mark.parametrize("command, preset", [
+    ("generate", ["iid"]), ("generate", ["latent-a"]),
+    ("estimate", ["cmnist-rho", "0.2", "0.7"]), ("estimate", ["latent-a"]),
+    ("sweep", ["cmnist-blue"]), ("compare", None),
+], ids=["generate-colored", "generate-latent", "estimate-colored", "estimate-latent",
+        "sweep-colored", "compare"])
+def test_config_json_records_every_flag(tmp_path, command, preset):
+    # a non-default value for every flag the command registers; a flag that
+    # is registered but never read has no entry here, or leaves no record
+    flags = _registered_flags(command) - {"-h", "--help", "--out", "--config", "--data"}
+    argv = [command]
+    for flag in sorted(flags - {"--preset"}):
+        argv += [flag, *_FLAG_RECORDS[flag][0]]
+    if preset is not None:
+        argv += ["--preset", *preset]
+    out = tmp_path / "out"
+    assert main([*argv, "--out", str(out)]) == 0
+    doc = json.loads((out / "config.json").read_text())
+    for flag in flags - {"--preset"}:
+        _, key, value = _FLAG_RECORDS[flag]
+        assert value in _recorded(doc, key), (flag, doc)
+    assert doc["preset"] == preset
+
+
+def test_estimate_data_rejects_n_per_env(tmp_path, capsys):
+    data = tmp_path / "gen" / "data.csv"
+    assert main(["generate", "--preset", "latent-a", "--n-per-env", "40",
+                 "--out", str(data.parent)]) == 0
+    capsys.readouterr()
+    out = tmp_path / "out"
+    rc = main(["estimate", "--data", str(data), "--n-per-env", "40", "--iters", "5",
+               "--runs", "1", "--mc-samples", "100", "--out", str(out)])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("error: --n-per-env does not apply to --data")
+    assert not (out / "result.json").exists()
+
+
+@pytest.mark.parametrize("under_file", [False, True], ids=["file", "under-file"])
+def test_out_not_a_directory_exit_2(tmp_path, capsys, under_file):
+    afile = tmp_path / "afile"
+    afile.write_text("")
+    out = afile / "sub" if under_file else afile
+    rc = main(["generate", "--preset", "iid", "--n-per-env", "20", "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("preset", [
+    ["irm-cmnist", "0.3"], ["latent-a", "7"], ["cmnist-rho", "x", "0.2"],
+], ids=["irm-cmnist-extra", "latent-a-extra", "cmnist-rho-not-a-number"])
+def test_preset_bad_values_exit_2(tmp_path, capsys, preset):
+    rc = main(["generate", "--preset", *preset, "--n-per-env", "20",
+               "--out", str(tmp_path / "out")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: preset ") and preset[0] in err
+    assert not (tmp_path / "out" / "data.csv").exists()

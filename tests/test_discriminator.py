@@ -113,15 +113,15 @@ def _reference_glorot_stack(rng, dims):
 
 def _reference_train(ds, cfg, rng):
     train_ds, val_ds = split_train_val(ds, cfg.train_frac, rng)
-    cells = _cell_indices(train_ds.labels, train_ds.envs, cfg.n_classes)
-    eye = np.eye(cfg.n_classes, dtype=np.float32)
+    cells = _cell_indices(train_ds.labels, train_ds.envs, ds.n_classes)
+    eye = np.eye(ds.n_classes, dtype=np.float32)
     x_tr, y_tr = train_ds.features.astype(np.float32), eye[train_ds.labels]
     e_tr = train_ds.envs.astype(np.float32)
     x_val, y_val = val_ds.features, eye[val_ds.labels]
     e_val = val_ds.envs.astype(np.int64)
 
-    g_layers = _reference_glorot_stack(rng, [cfg.in_dim, *cfg.hidden_dims, cfg.feature_dim])
-    h_in = cfg.feature_dim + cfg.n_classes
+    g_layers = _reference_glorot_stack(rng, [ds.n_dims, *cfg.hidden_dims, cfg.feature_dim])
+    h_in = cfg.feature_dim + ds.n_classes
     h_dims = [h_in, cfg.cls_hidden_dim, 1] if cfg.cls_hidden_dim > 0 else [h_in, 1]
     h_layers = _reference_glorot_stack(rng, h_dims)
     params = [p for layer in g_layers + h_layers for p in layer]
@@ -129,7 +129,7 @@ def _reference_train(ds, cfg, rng):
 
     best_acc, best_params, loss_curve = -1.0, None, []
     for t in range(1, cfg.iters + 1):
-        idx = _sample_batch(cells, cfg.n_classes, cfg.batch_per_env, rng)
+        idx = _sample_batch(cells, ds.n_classes, cfg.batch_per_env, rng)
         x, y, e = x_tr[idx], y_tr[idx], e_tr[idx]
         logits, (g_caches, h_caches) = _forward_logit(g_layers, h_layers, x, y)
         loss_curve.append(_bce_loss(logits, e))
@@ -172,7 +172,7 @@ def test_train_bit_identical_to_reference(case):
         "three-classes": dict(hidden_dims=(12, 6), iters=200, checkpoint_every=25),
         "in-dim-1": dict(hidden_dims=(32,), iters=200, checkpoint_every=25),
     }[case]
-    cfg = MlpConfig(in_dim=ds.n_dims, n_classes=ds.n_classes, **cfg)
+    cfg = MlpConfig(**cfg)
     model = train(ds, cfg, Rng(33))
     g_ref, h_ref, acc_ref, curve_ref = _reference_train(ds, cfg, Rng(33))
     assert len(model.g_layers) == len(g_ref) and len(model.h_layers) == len(h_ref)
@@ -184,7 +184,7 @@ def test_train_bit_identical_to_reference(case):
 
 def test_train_float32_extract_and_grad_check_float64():
     ds = _latent_ds(0.7, n=200)
-    cfg = MlpConfig(in_dim=1, n_classes=2, iters=20, hidden_dims=(8,))
+    cfg = MlpConfig(iters=20, hidden_dims=(8,))
     model = train(ds, cfg, Rng(34))
     for W, b in model.g_layers + model.h_layers:
         assert W.dtype == np.float32 and b.dtype == np.float32
@@ -197,9 +197,8 @@ def test_train_float32_extract_and_grad_check_float64():
         a = np.maximum(a, 0.0) if i < len(model.g_layers) - 1 else a
     assert np.array_equal(feats, a)
     # a float32 central difference at step 1e-5 is off by far more than 1e-7
-    linear = MlpConfig(in_dim=3, n_classes=2, hidden_dims=(), feature_dim=2,
-                       cls_hidden_dim=0)
-    assert grad_check(linear, Rng(35)) < 1e-7
+    linear = MlpConfig(hidden_dims=(), feature_dim=2, cls_hidden_dim=0)
+    assert grad_check(linear, 3, 2, Rng(35)) < 1e-7
 
 
 # ---------------------------------------------------------------------------
@@ -211,27 +210,25 @@ def test_grad_check_default_hyperparameters_small_dims():
     # same architecture shape scaled down, default everything else
     # seed chosen away from ReLU kinks: a pre-activation within the FD step
     # of zero makes the central difference itself inaccurate
-    cfg = MlpConfig(in_dim=4, n_classes=2, hidden_dims=(16, 16), feature_dim=8)
-    assert grad_check(cfg, Rng(1)) < 1e-4
+    cfg = MlpConfig(hidden_dims=(16, 16), feature_dim=8)
+    assert grad_check(cfg, 4, 2, Rng(1)) < 1e-4
 
 
 def test_grad_check_linear_network():
-    cfg = MlpConfig(in_dim=3, n_classes=2, hidden_dims=(), feature_dim=2,
-                    cls_hidden_dim=0)
-    assert grad_check(cfg, Rng(1)) < 1e-7
+    cfg = MlpConfig(hidden_dims=(), feature_dim=2, cls_hidden_dim=0)
+    assert grad_check(cfg, 3, 2, Rng(1)) < 1e-7
 
 
 def test_grad_check_ten_random_configs():
     for seed in range(10):
         r = Rng(seed)
+        in_dim, n_classes = int(r.integers(1, 7)), int(r.integers(2, 5))
         cfg = MlpConfig(
-            in_dim=int(r.integers(1, 7)),
-            n_classes=int(r.integers(2, 5)),
             hidden_dims=tuple(int(d) for d in r.integers(2, 10, int(r.integers(0, 3)))),
             feature_dim=int(r.integers(1, 6)),
             cls_hidden_dim=int(r.integers(0, 9)),
         )
-        assert grad_check(cfg, r) < 1e-4, f"seed {seed}, cfg {cfg}"
+        assert grad_check(cfg, in_dim, n_classes, r) < 1e-4, f"seed {seed}, cfg {cfg}"
 
 
 # ---------------------------------------------------------------------------
@@ -247,7 +244,7 @@ def _latent_ds(tv, n=2000, seed=0, noise_std=0.05):
 
 def test_train_deterministic():
     ds = _latent_ds(0.7)
-    cfg = MlpConfig(in_dim=1, n_classes=2, **FAST)
+    cfg = MlpConfig(**FAST)
     m1 = train(ds, cfg, Rng(3))
     m2 = train(ds, cfg, Rng(3))
     for (w1, b1), (w2, b2) in zip(m1.g_layers + m1.h_layers, m2.g_layers + m2.h_layers):
@@ -258,7 +255,7 @@ def test_train_deterministic():
 
 def test_train_identical_envs_accuracy_near_half():
     ds = _latent_ds(0.0, n=10_000)
-    cfg = MlpConfig(in_dim=1, n_classes=2, **FAST)
+    cfg = MlpConfig(**FAST)
     model = train(ds, cfg, Rng(4))
     assert 0.45 <= model.val_accuracy <= 0.55
 
@@ -267,14 +264,14 @@ def test_train_disjoint_envs_accuracy_high():
     spec = ColoredSpec(rho_tr=0.1, rho_te=0.1, mu_tr=0.0, mu_te=1.0,
                        sigma_tr=0.01, sigma_te=0.01, n_per_env=500)
     ds = gen_colored(spec, Rng(5))
-    cfg = MlpConfig(in_dim=ds.n_dims, n_classes=2, **FAST)
+    cfg = MlpConfig(**FAST)
     model = train(ds, cfg, Rng(5))
     assert model.val_accuracy >= 0.95
 
 
 def test_train_loss_decreases():
     ds = _latent_ds(1.0)
-    cfg = MlpConfig(in_dim=1, n_classes=2, **FAST)
+    cfg = MlpConfig(**FAST)
     model = train(ds, cfg, Rng(6))
     curve = np.asarray(model.loss_curve)
     assert curve[-20:].mean() < curve[:20].mean()
@@ -282,22 +279,16 @@ def test_train_loss_decreases():
 
 def test_train_missing_cell_raises():
     ds = _latent_ds(0.3)
-    cfg = MlpConfig(in_dim=1, n_classes=3, **FAST)  # class 2 never appears
+    ds = LabeledDataset(ds.features, ds.labels, ds.envs, n_classes=3)  # class 2 never appears
+    cfg = MlpConfig(**FAST)
     with pytest.raises(ValueError, match="missing"):
         train(ds, cfg, Rng(7))
-
-
-def test_train_rejects_wrong_width():
-    ds = _latent_ds(0.3)
-    cfg = MlpConfig(in_dim=2, n_classes=2, **FAST)
-    with pytest.raises(ValueError, match="in_dim"):
-        train(ds, cfg, Rng(8))
 
 
 def test_train_rejects_single_env():
     ds = _latent_ds(0.3)
     sub = ds.subset(np.nonzero(ds.envs == 0)[0])
-    cfg = MlpConfig(in_dim=1, n_classes=2, **FAST)
+    cfg = MlpConfig(**FAST)
     with pytest.raises(ValueError, match="both environments"):
         train(sub, cfg, Rng(9))
 
@@ -335,7 +326,7 @@ def test_extract_zero_weights_gives_zeros():
 
 def test_extract_pure():
     ds = _latent_ds(0.7, n=50)
-    cfg = MlpConfig(in_dim=1, n_classes=2, iters=10, hidden_dims=(8,))
+    cfg = MlpConfig(iters=10, hidden_dims=(8,))
     model = train(ds, cfg, Rng(11))
     a = extract(model, ds)
     b = extract(model, ds.features)
@@ -344,7 +335,7 @@ def test_extract_pure():
 
 def test_extract_empty_input():
     ds = _latent_ds(0.7, n=50)
-    cfg = MlpConfig(in_dim=1, n_classes=2, iters=10, hidden_dims=(8,))
+    cfg = MlpConfig(iters=10, hidden_dims=(8,))
     model = train(ds, cfg, Rng(12))
     out = extract(model, np.empty((0, 1)))
     assert out.shape == (0, cfg.feature_dim)
@@ -352,7 +343,7 @@ def test_extract_empty_input():
 
 def test_extract_dim_mismatch():
     ds = _latent_ds(0.7, n=50)
-    cfg = MlpConfig(in_dim=1, n_classes=2, iters=10, hidden_dims=(8,))
+    cfg = MlpConfig(iters=10, hidden_dims=(8,))
     model = train(ds, cfg, Rng(13))
     with pytest.raises(ValueError):
         extract(model, np.zeros((4, 2)))
@@ -360,12 +351,10 @@ def test_extract_dim_mismatch():
 
 def test_config_validation():
     with pytest.raises(ValueError):
-        MlpConfig(in_dim=0, n_classes=2).validate()
-    with pytest.raises(ValueError):
-        MlpConfig(in_dim=1, n_classes=2, lr=0.0).validate()
+        MlpConfig(lr=0.0).validate()
     with pytest.raises(ValueError, match="checkpoint_every"):
-        MlpConfig(in_dim=1, n_classes=2, checkpoint_every=0).validate()
+        MlpConfig(checkpoint_every=0).validate()
     with pytest.raises(ValueError, match="hidden_dims"):
-        MlpConfig(in_dim=1, n_classes=2, hidden_dims=(16, 0)).validate()
+        MlpConfig(hidden_dims=(16, 0)).validate()
     with pytest.raises(ValueError, match="cls_hidden_dim"):
-        MlpConfig(in_dim=1, n_classes=2, cls_hidden_dim=-2).validate()
+        MlpConfig(cls_hidden_dim=-2).validate()

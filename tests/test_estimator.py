@@ -298,8 +298,7 @@ def test_mc_convergence_toward_oracle():
 
 def _pipeline_setup():
     ds = gen_latent(latent_spec_a(), 500, Rng(30), noise_std=0.05)
-    mlp = MlpConfig(in_dim=1, n_classes=2, hidden_dims=(16,), iters=100,
-                    checkpoint_every=50)
+    mlp = MlpConfig(hidden_dims=(16,), iters=100, checkpoint_every=50)
     est = EstimatorConfig(n_runs=3, n_mc_samples=2000)
     return ds, mlp, est
 
@@ -349,8 +348,7 @@ def test_pipeline_to_dict_round_trips_json():
 def _sweep_setup():
     spec = ColoredSpec(rho_tr=0.1, rho_te=0.9, label_noise=0.0, n_per_env=60,
                        image_side=4)
-    mlp = MlpConfig(in_dim=48, n_classes=2, hidden_dims=(8,), iters=40,
-                    checkpoint_every=20)
+    mlp = MlpConfig(hidden_dims=(8,), iters=40, checkpoint_every=20)
     est = EstimatorConfig(n_runs=1, n_mc_samples=500)
     return spec, mlp, est
 
