@@ -12,7 +12,7 @@ from scipy.spatial.distance import cdist
 
 from .data import Rng
 from .datagen import gen_colored
-from .estimator import _mean_stderr, _run
+from .estimator import _map, _mean_stderr, _run
 
 
 _N_SUB = 512  # rows per environment that mmd and emd compare
@@ -97,21 +97,25 @@ def compare_table(specs, mlp_cfg, est_cfg, base_seed):
     to _N_SUB rows per environment) and each shift with its standard
     error over est_cfg.n_runs freshly generated datasets."""
     est_cfg.validate()
+
+    def run(spec, seed):
+        rng = Rng(seed)
+        ds = gen_colored(spec, rng)
+        tr = ds.envs == 0
+        F_tr, F_te = ds.features[tr], ds.features[~tr]
+        return (
+            emd(F_tr, F_te, rng),
+            mmd(F_tr, F_te, rng),
+            ni(ds),
+            *_run(ds, mlp_cfg, est_cfg, seed + 1)[0],
+        )
+
+    # the runs of one spec execute concurrently, the specs in sequence: two
+    # specs at once would hold two fresh datasets and two sets of mmd matrices
     records = []
     for s_idx, spec in enumerate(specs):
-        runs = []
-        for run in range(est_cfg.n_runs):
-            seed = base_seed + 100000 * s_idx + 1000 * run
-            rng = Rng(seed)
-            ds = gen_colored(spec, rng)
-            tr = ds.envs == 0
-            F_tr, F_te = ds.features[tr], ds.features[~tr]
-            runs.append((
-                emd(F_tr, F_te, rng),
-                mmd(F_tr, F_te, rng),
-                ni(ds),
-                *_run(ds, mlp_cfg, est_cfg, seed + 1)[0],
-            ))
+        seeds = [base_seed + 100000 * s_idx + 1000 * r for r in range(est_cfg.n_runs)]
+        runs = _map(lambda seed: run(spec, seed), seeds)
         mean, stderr = _mean_stderr(np.asarray(runs, dtype=np.float64))
         record = {"rho_te": spec.rho_te, "blue": int(spec.mu_te > 0)}
         for name, m, se in zip(("emd", "mmd", "ni", "d_div", "d_cor"), mean, stderr):

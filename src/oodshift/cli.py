@@ -115,14 +115,20 @@ def _spec(args, config):
 
 
 def _run_configs(config, args, est_base=EstimatorConfig()):
-    """The MlpConfig and EstimatorConfig of a command that runs the pipeline."""
-    return (
-        _merged(config, "mlp", MlpConfig(), iters=args.iters),
-        _merged(config, "estimator", est_base, n_runs=args.runs, n_mc_samples=args.mc_samples),
+    """The validated MlpConfig and EstimatorConfig of a command that runs the
+    pipeline."""
+    mlp_cfg = _merged(config, "mlp", MlpConfig(), iters=args.iters)
+    est_cfg = _merged(
+        config, "estimator", est_base, n_runs=args.runs, n_mc_samples=args.mc_samples
     )
+    mlp_cfg.validate()
+    est_cfg.validate()
+    return mlp_cfg, est_cfg
 
 
 def _prepare_out(args):
+    """The output directory, created; every command calls this only after its
+    inputs are checked, so bad input leaves no directory behind."""
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     return out
@@ -164,8 +170,8 @@ def _build_dataset(args, config):
 
 def cmd_generate(args):
     config = _load_config(args.config)
-    out = _prepare_out(args)
     ds, meta = _build_dataset(args, config)
+    out = _prepare_out(args)
     save_csv(ds, out / "data.csv")
     (out / "spec.json").write_text(
         json.dumps({"seed": args.seed, **meta}, indent=2, sort_keys=True)
@@ -177,9 +183,9 @@ def cmd_generate(args):
 
 def cmd_estimate(args):
     config = _load_config(args.config)
-    out = _prepare_out(args)
     ds, meta = _build_dataset(args, config)
     mlp_cfg, est_cfg = _run_configs(config, args)
+    out = _prepare_out(args)
     _echo_config(
         out, args,
         {**meta, "mlp": dataclasses.asdict(mlp_cfg), "estimator": dataclasses.asdict(est_cfg)},
@@ -200,19 +206,23 @@ def cmd_estimate(args):
 
 def cmd_sweep(args):
     config = _load_config(args.config)
-    out = _prepare_out(args)
     spec = _spec(args, config)
     if not isinstance(spec, ColoredSpec):
         raise UserError("sweep requires a colored-digit spec")
+    spec.validate()
     axis1, axis2 = {
         "rho": ("rho_tr", "rho_te"),
         "mu": ("mu_tr", "mu_te"),
     }[args.axes]
-    values = [float(v) for v in args.grid]
+    try:
+        values = [float(v) for v in args.grid]
+    except ValueError:
+        raise UserError(f"--grid values must be numbers, got {args.grid}") from None
     for v in values:
         if not 0.0 <= v <= 1.0:
-            raise UserError(f"grid value out of [0, 1]: {v}")
+            raise UserError(f"--grid value out of [0, 1]: {v}")
     mlp_cfg, est_cfg = _run_configs(config, args, EstimatorConfig(n_runs=1))
+    out = _prepare_out(args)
     _echo_config(out, args, {
         "spec": json.loads(spec.to_json()), "axes": args.axes, "grid": values,
         "mlp": dataclasses.asdict(mlp_cfg), "estimator": dataclasses.asdict(est_cfg),
@@ -234,11 +244,12 @@ def cmd_compare(args):
     config = _load_config(args.config)
     if "spec" in config:
         raise UserError(_SPEC_ONLY_COLORED)
-    out = _prepare_out(args)
     irm = _merged(config, "spec", irm_colored_default(), n_per_env=args.n_per_env)
     specs = [dataclasses.replace(irm, rho_te=r) for r in (0.9, 0.7, 0.5, 0.3, 0.1)]
     specs.append(dataclasses.replace(_preset(["cmnist-blue"]), n_per_env=irm.n_per_env))
+    irm.validate()  # n_per_env is the one field the blue spec takes from irm
     mlp_cfg, est_cfg = _run_configs(config, args)
+    out = _prepare_out(args)
     _echo_config(out, args, {
         "n_per_env": irm.n_per_env,
         "mlp": dataclasses.asdict(mlp_cfg), "estimator": dataclasses.asdict(est_cfg),

@@ -128,16 +128,15 @@ def save_csv(ds, path):
             writer.writerow([int(env), int(label)] + [f"{v:.17g}" for v in feats])
 
 
-def split_train_val(ds, frac, rng):
-    """Shuffle and split into ceil(frac*n) training rows and the rest; the
-    rest must not be empty."""
+def split_train_val(n, frac, rng):
+    """Shuffle row indices 0..n-1 and split them into ceil(frac*n) training
+    indices and the rest; the rest must not be empty."""
     if not 0.0 < frac < 1.0:
         raise ValueError("frac must lie in (0, 1)")
-    n = ds.n_rows
     n_train = int(np.ceil(frac * n))
     if n_train == n:
         raise ValueError(
             f"validation split is empty: {n} rows at training fraction {frac}"
         )
     perm = rng.permutation(n)
-    return ds.subset(perm[:n_train]), ds.subset(perm[n_train:])
+    return perm[:n_train], perm[n_train:]

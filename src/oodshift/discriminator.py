@@ -233,15 +233,12 @@ def train(ds, cfg, rng):
     if not np.isin((0, 1), ds.envs).all():
         raise ValueError("dataset must contain both environments")
 
-    train_ds, val_ds = split_train_val(ds, cfg.train_frac, rng)
+    train_idx, val_idx = split_train_val(ds.n_rows, cfg.train_frac, rng)
     n_classes = ds.n_classes
-    cells = _cell_indices(train_ds.labels, train_ds.envs, n_classes)
+    cells = _cell_indices(ds.labels[train_idx], ds.envs[train_idx], n_classes)
     eye = np.eye(n_classes, dtype=np.float32)
-    x_tr = train_ds.features
-    y_tr = eye[train_ds.labels]
-    e_tr = train_ds.envs.astype(np.float32)
-    x_val, y_val = val_ds.features, eye[val_ds.labels]
-    e_val = val_ds.envs.astype(np.int64)
+    x_val, y_val = ds.features[val_idx], eye[ds.labels[val_idx]]
+    e_val = ds.envs[val_idx]
 
     params, g_layers, h_layers = _init_params(cfg, ds.n_dims, n_classes, rng, np.float32)
     grads, g_grads, h_grads = _flat_layers(cfg, ds.n_dims, n_classes, np.float32)
@@ -251,10 +248,12 @@ def train(ds, cfg, rng):
     best_params = None
     loss_curve = []
     for t in range(1, cfg.iters + 1):
-        idx = _sample_batch(cells, n_classes, cfg.batch_per_env, rng)
-        # only the gathered batch is cast, so no float32 copy of x_tr is kept
-        x = x_tr[idx].astype(np.float32)
-        loss = _loss_and_grads(g_layers, h_layers, x, y_tr[idx], e_tr[idx], g_grads, h_grads)
+        # each batch is gathered from ds by row index and cast alone, so no
+        # copy of the training split is kept
+        idx = train_idx[_sample_batch(cells, n_classes, cfg.batch_per_env, rng)]
+        x = ds.features[idx].astype(np.float32)
+        y, e = eye[ds.labels[idx]], ds.envs[idx].astype(np.float32)
+        loss = _loss_and_grads(g_layers, h_layers, x, y, e, g_grads, h_grads)
         if not np.isfinite(loss):
             raise RuntimeError(f"non-finite loss at step {t}")
         loss_curve.append(loss)
@@ -275,14 +274,27 @@ def train(ds, cfg, rng):
     )
 
 
+# rows per block of extract's forward pass
+_EXTRACT_BLOCK = 1024
+
+
 def extract(model, data):
     """Apply the feature extractor to a dataset or raw feature matrix."""
     x = data.features if isinstance(data, LabeledDataset) else np.asarray(data)
     in_dim = model.g_layers[0][0].shape[0]
     if x.ndim != 2 or x.shape[1] != in_dim:
         raise ValueError(f"expected (n, {in_dim}) input, got {x.shape}")
-    f, _ = _mlp_forward(model.g_layers, x)
-    return f
+    layers = [(W.astype(np.float64), b.astype(np.float64)) for W, b in model.g_layers]
+    out = np.empty((x.shape[0], layers[-1][0].shape[1]))
+    # blocks of rows keep the working set to one block's activations
+    for start in range(0, x.shape[0], _EXTRACT_BLOCK):
+        a = x[start : start + _EXTRACT_BLOCK]
+        for i, (W, b) in enumerate(layers):
+            a = a @ W + b
+            if i < len(layers) - 1:
+                np.maximum(a, 0.0, out=a)
+        out[start : start + _EXTRACT_BLOCK] = a
+    return out
 
 
 def grad_check(cfg, in_dim, n_classes, rng):

@@ -7,10 +7,20 @@ the two fits, splitting draws into a no-shared-support region (diversity)
 and a shared-support region (correlation) by density thresholds. The label
 conditionals come from each fit's class-y rows, so they sum to 1 and carry
 the measured class priors.
+
+The independent runs of a pipeline, a sweep or a comparison go through one
+executor, `_map`, which runs them concurrently, each on one BLAS thread.
 """
 
+import ctypes
 import math
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
+from functools import cache, partial
+from pathlib import Path
 
 import numpy as np
 
@@ -167,6 +177,70 @@ def _aggregate(per_run, diagnostics):
     )
 
 
+@cache
+def _openblas():
+    """numpy's bundled OpenBLAS, or None when it is not found."""
+    libs = Path(np.__file__).parent.parent / "numpy.libs"
+    for path in sorted(libs.glob("libscipy_openblas*.so*")):
+        lib = ctypes.CDLL(str(path))
+        if hasattr(lib, "scipy_openblas_set_num_threads64_"):
+            lib.scipy_openblas_set_num_threads64_.argtypes = [ctypes.c_int]
+            lib.scipy_openblas_set_num_threads64_.restype = None
+            lib.scipy_openblas_get_num_threads64_.argtypes = []
+            lib.scipy_openblas_get_num_threads64_.restype = ctypes.c_int
+            return lib
+    return None
+
+
+@contextmanager
+def _one_blas_thread():
+    """Cap numpy's OpenBLAS at one thread for the block and restore the old
+    count after it; yields False, leaving BLAS alone, without the library.
+    The count is process-wide."""
+    lib = _openblas()
+    if lib is None:
+        yield False
+        return
+    old = lib.scipy_openblas_get_num_threads64_()
+    lib.scipy_openblas_set_num_threads64_(1)
+    try:
+        yield True
+    finally:
+        lib.scipy_openblas_set_num_threads64_(old)
+
+
+def _n_workers(n_items):
+    return min(n_items, len(os.sched_getaffinity(0)))
+
+
+_in_task = threading.local()
+# the BLAS thread count is process-wide, so calls from different threads of
+# the caller take turns; a nested call in the holding thread re-enters
+_map_lock = threading.RLock()
+
+
+def _task(fn, item):
+    _in_task.active = True
+    return fn(item)
+
+
+def _map(fn, items):
+    """[fn(item) for item in items], run on a thread pool of one thread per
+    core, each task on one BLAS thread, so the results do not depend on the
+    core count. A _map called from inside a task runs inline; without the
+    BLAS library it runs inline too."""
+    items = list(items)
+    if getattr(_in_task, "active", False):
+        return [fn(item) for item in items]
+    with _map_lock, _one_blas_thread() as capped:
+        workers = _n_workers(len(items)) if capped else 1
+        if workers <= 1:
+            return [fn(item) for item in items]
+        # on the first task that raises, map cancels the tasks not yet started
+        with ThreadPoolExecutor(workers) as pool:
+            return list(pool.map(partial(_task, fn), items))
+
+
 def _run(ds, mlp_cfg, est_cfg, seed):
     """One pipeline run: train the discriminator, extract features and run
     the estimator, all from Rng(seed). Returns ((d_div, d_cor),
@@ -183,7 +257,7 @@ def estimate_pipeline(ds, mlp_cfg, est_cfg, base_seed):
     """Full pipeline: run i trains, extracts and estimates from seed
     base_seed + i; aggregate mean and standard error over runs."""
     est_cfg.validate()
-    runs = [_run(ds, mlp_cfg, est_cfg, base_seed + i) for i in range(est_cfg.n_runs)]
+    runs = _map(lambda i: _run(ds, mlp_cfg, est_cfg, base_seed + i), range(est_cfg.n_runs))
     per_run, val_accs, run_diags = zip(*runs)
     diagnostics = {
         "val_accuracy_per_run": list(val_accs),
@@ -199,18 +273,21 @@ def sweep(base_spec, axis1, values1, axis2, values2, mlp_cfg, est_cfg, base_seed
     Cell i (row-major) generates its dataset from seed base_seed + 10000*i
     and runs the pipeline from that seed + 1. Returns one dict per cell.
     """
-    records = []
-    for i, (v1, v2) in enumerate((float(a), float(b)) for a in values1 for b in values2):
+    cells = [(float(a), float(b)) for a in values1 for b in values2]
+
+    def cell(i):
+        v1, v2 = cells[i]
         spec = replace(base_spec, **{axis1: v1, axis2: v2})
         cell_seed = base_seed + 10000 * i
         ds = gen_colored(spec, Rng(cell_seed))
         result = estimate_pipeline(ds, mlp_cfg, est_cfg, cell_seed + 1)
-        records.append({
+        return {
             axis1: v1,
             axis2: v2,
             "d_div": result.d_div,
             "d_cor": result.d_cor,
             "stderr_div": result.stderr_div,
             "stderr_cor": result.stderr_cor,
-        })
-    return records
+        }
+
+    return _map(cell, range(len(cells)))

@@ -9,6 +9,7 @@ import pytest
 
 from oodshift import ColoredSpec, EstimatorConfig, MlpConfig, load_csv
 from oodshift.cli import _JSON_TYPES, build_parser, main
+from oodshift.estimator import _openblas
 
 FAST_MLP = {"hidden_dims": [16], "iters": 100, "checkpoint_every": 50}
 
@@ -281,6 +282,22 @@ def test_underpopulated_class_in_csv_exit_2(tmp_path, capsys):
     assert "underpopulated" in capsys.readouterr().err
 
 
+def test_empty_validation_split_in_concurrent_runs_exit_2(tmp_path, capsys):
+    # both runs fail in the executor's worker threads; the BLAS thread
+    # count the executor capped is restored
+    if _openblas() is None:
+        pytest.skip("numpy's bundled OpenBLAS not found")
+    rows = ["env,label,x0"] + [f"{i // 4},{i % 2},{i * 0.5}" for i in range(8)]
+    data = tmp_path / "tiny.csv"
+    data.write_text("\n".join(rows) + "\n")
+    before = _openblas().scipy_openblas_get_num_threads64_()
+    rc = main(["estimate", "--data", str(data), "--iters", "5", "--runs", "2",
+               "--mc-samples", "50", "--out", str(tmp_path / "out")])
+    assert rc == 2
+    assert "validation split is empty" in capsys.readouterr().err
+    assert _openblas().scipy_openblas_get_num_threads64_() == before
+
+
 def test_empty_validation_split_exit_2(tmp_path, capsys):
     # 8 rows, 2 per (env, class) cell: a 0.9 training fraction takes all 8
     rows = ["env,label,x0"] + [f"{i // 4},{i % 2},{i * 0.5}" for i in range(8)]
@@ -294,8 +311,8 @@ def test_empty_validation_split_exit_2(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("command", ["estimate", "compare", "sweep"])
-def test_threads_only_on_sweep(tmp_path, command):
-    # no command takes --threads: every run executes serially
+def test_no_command_takes_threads(tmp_path, command):
+    # the run executor picks its own worker count; no flag sets it
     preset = [] if command == "compare" else ["--preset", "iid"]
     with pytest.raises(SystemExit) as exc:
         main([command, "--threads", "2", *preset, "--n-per-env", "50",
@@ -495,6 +512,22 @@ def test_out_not_a_directory_exit_2(tmp_path, capsys, under_file):
     assert rc == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv, named", [
+    (["generate", "--preset", "bogus"], "bogus"),
+    (["estimate", "--preset", "bogus"], "bogus"),
+    (["sweep", "--preset", "iid", "--grid", "x", "0.2"], "--grid"),
+    (["sweep", "--preset", "iid", "--grid", "1.5"], "--grid"),
+    (["compare", "--runs", "0"], "n_runs"),
+], ids=["generate-preset", "estimate-preset", "sweep-grid-text", "sweep-grid-range",
+        "compare-runs"])
+def test_bad_input_creates_no_out(tmp_path, capsys, argv, named):
+    out = tmp_path / "out"
+    assert main([*argv, "--n-per-env", "20", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and named in err, err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("preset", [

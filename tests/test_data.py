@@ -200,41 +200,31 @@ def test_csv_inconsistent_width_names_line(tmp_path):
 
 
 def test_split_sizes_90_10():
-    rng = Rng(0)
-    ds = LabeledDataset(np.zeros((100, 1)), np.zeros(100, int), np.zeros(100, int))
-    train, val = split_train_val(ds, 0.9, rng)
-    assert train.n_rows == 90
-    assert val.n_rows == 10
+    train, val = split_train_val(100, 0.9, Rng(0))
+    assert train.shape == (90,)
+    assert val.shape == (10,)
 
 
 def test_split_is_disjoint_partition():
-    rng = Rng(1)
-    feats = np.arange(50.0)[:, None]
-    ds = LabeledDataset(feats, np.zeros(50, int), np.zeros(50, int))
-    train, val = split_train_val(ds, 0.8, rng)
-    seen = np.concatenate([train.features[:, 0], val.features[:, 0]])
-    assert sorted(seen) == list(range(50))
+    train, val = split_train_val(50, 0.8, Rng(1))
+    assert sorted(np.concatenate([train, val])) == list(range(50))
 
 
 def test_split_deterministic():
-    ds = LabeledDataset(np.arange(30.0)[:, None], np.zeros(30, int), np.zeros(30, int))
-    t1, v1 = split_train_val(ds, 0.9, Rng(5))
-    t2, v2 = split_train_val(ds, 0.9, Rng(5))
-    assert np.array_equal(t1.features, t2.features)
-    assert np.array_equal(v1.features, v2.features)
+    t1, v1 = split_train_val(30, 0.9, Rng(5))
+    t2, v2 = split_train_val(30, 0.9, Rng(5))
+    assert np.array_equal(t1, t2)
+    assert np.array_equal(v1, v2)
 
 
 def test_split_empty_validation_raises():
     # ceil(0.9 * n) == n for every n < 10; n = 10 leaves one validation row
     for n in (1, 8, 9):
-        ds = LabeledDataset(np.zeros((n, 1)), np.zeros(n, int), np.zeros(n, int))
         with pytest.raises(ValueError, match="validation split is empty"):
-            split_train_val(ds, 0.9, Rng(0))
-    ds = LabeledDataset(np.zeros((10, 1)), np.zeros(10, int), np.zeros(10, int))
-    assert split_train_val(ds, 0.9, Rng(0))[1].n_rows == 1
+            split_train_val(n, 0.9, Rng(0))
+    assert split_train_val(10, 0.9, Rng(0))[1].size == 1
 
 
 def test_split_rejects_bad_frac():
-    ds = LabeledDataset(np.zeros((4, 1)), np.zeros(4, int), np.zeros(4, int))
     with pytest.raises(ValueError):
-        split_train_val(ds, 1.0, Rng(0))
+        split_train_val(4, 1.0, Rng(0))

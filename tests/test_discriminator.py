@@ -18,6 +18,7 @@ from oodshift import (
     train,
 )
 from oodshift.discriminator import (
+    _EXTRACT_BLOCK,
     ExtractorModel,
     _Adam,
     _accuracy,
@@ -112,7 +113,8 @@ def _reference_glorot_stack(rng, dims):
 
 
 def _reference_train(ds, cfg, rng):
-    train_ds, val_ds = split_train_val(ds, cfg.train_frac, rng)
+    train_idx, val_idx = split_train_val(ds.n_rows, cfg.train_frac, rng)
+    train_ds, val_ds = ds.subset(train_idx), ds.subset(val_idx)
     cells = _cell_indices(train_ds.labels, train_ds.envs, ds.n_classes)
     eye = np.eye(ds.n_classes, dtype=np.float32)
     x_tr, y_tr = train_ds.features.astype(np.float32), eye[train_ds.labels]
@@ -183,7 +185,9 @@ def test_train_bit_identical_to_reference(case):
 
 
 def test_train_float32_extract_and_grad_check_float64():
-    ds = _latent_ds(0.7, n=200)
+    # extract's forward pass in blocks of rows must equal the whole one
+    ds = _latent_ds(0.7, n=1200)
+    assert ds.n_rows > 2 * _EXTRACT_BLOCK
     cfg = MlpConfig(iters=20, hidden_dims=(8,))
     model = train(ds, cfg, Rng(34))
     for W, b in model.g_layers + model.h_layers:

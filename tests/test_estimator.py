@@ -1,6 +1,7 @@
 """Tests for the shift oracle and the Monte Carlo estimator."""
 
 import dataclasses
+import threading
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from oodshift import (
     random_latent_spec,
     sweep,
 )
+from oodshift import estimator
 from oodshift.estimator import _EPS_COR, _EPS_DIV
 
 
@@ -339,6 +341,100 @@ def test_pipeline_to_dict_round_trips_json():
     result = estimate_pipeline(ds, mlp, est, base_seed=43)
     doc = json.loads(json.dumps(dataclasses.asdict(result)))
     assert doc["d_div"] == result.d_div
+
+
+# ---------------------------------------------------------------------------
+# the run executor
+
+
+def test_pipeline_same_at_any_worker_count(monkeypatch):
+    # every run executes on one BLAS thread, so the worker count and the
+    # order the runs finish in change no bit of the result
+    ds, mlp, est = _pipeline_setup()
+    per_run = {}
+    for workers in (1, 2):
+        monkeypatch.setattr(estimator, "_n_workers", lambda n, w=workers: min(n, w))
+        per_run[workers] = estimate_pipeline(ds, mlp, est, base_seed=44).per_run
+    with estimator._one_blas_thread():
+        serial = [estimator._run(ds, mlp, est, 44 + i)[0] for i in range(est.n_runs)]
+    assert per_run[1] == per_run[2] == serial
+
+
+def test_map_keeps_item_order_and_nests_inline():
+    def task(i):
+        # a _map inside a task runs in the task's own thread
+        inner = estimator._map(lambda _: threading.get_ident(), range(3))
+        return i, set(inner) == {threading.get_ident()}
+
+    assert estimator._map(task, range(5)) == [(i, True) for i in range(5)]
+
+
+def _blas_threads():
+    return estimator._openblas().scipy_openblas_get_num_threads64_()
+
+
+@pytest.fixture
+def blas_at_two():
+    """numpy's OpenBLAS set to 2 threads, and its old count put back after."""
+    lib = estimator._openblas()
+    if lib is None:
+        pytest.skip("numpy's bundled OpenBLAS not found")
+    old = _blas_threads()
+    lib.scipy_openblas_set_num_threads64_(2)
+    yield
+    lib.scipy_openblas_set_num_threads64_(old)
+
+
+def test_blas_threads_capped_in_runs_and_restored(monkeypatch, blas_at_two):
+    seen = []
+    real_train = estimator.train
+
+    def counting_train(*args):
+        seen.append(_blas_threads())
+        return real_train(*args)
+
+    monkeypatch.setattr(estimator, "train", counting_train)
+    ds, mlp, est = _pipeline_setup()
+    estimate_pipeline(ds, mlp, est, base_seed=45)
+    assert seen == [1] * est.n_runs
+    assert _blas_threads() == 2
+
+
+def test_blas_threads_restored_after_a_run_raises(monkeypatch, blas_at_two):
+    real_run = estimator._run
+
+    def failing_run(ds, mlp_cfg, est_cfg, seed):
+        if seed == 47:
+            raise ValueError("run 1 failed")
+        return real_run(ds, mlp_cfg, est_cfg, seed)
+
+    monkeypatch.setattr(estimator, "_run", failing_run)
+    ds, mlp, est = _pipeline_setup()
+    with pytest.raises(ValueError, match="run 1 failed"):
+        estimate_pipeline(ds, mlp, est, base_seed=46)
+    assert _blas_threads() == 2
+
+
+def test_concurrent_callers_take_turns(blas_at_two):
+    # two caller threads each run a pipeline; the shared BLAS setting must
+    # hold for both, so each gets the result it gets alone
+    ds, mlp, est = _pipeline_setup()
+    alone = [estimate_pipeline(ds, mlp, est, base_seed=s).per_run for s in (48, 49)]
+    # the callers overlap by chance, so a few rounds make an overlap likely
+    for _ in range(3):
+        got = {}
+
+        def call(seed):
+            got[seed] = estimate_pipeline(ds, mlp, est, base_seed=seed).per_run
+
+        threads = [threading.Thread(target=call, args=(s,)) for s in (48, 49)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+            assert not t.is_alive()
+        assert [got[48], got[49]] == alone
+        assert _blas_threads() == 2
 
 
 # ---------------------------------------------------------------------------
