@@ -1,12 +1,14 @@
-"""Diversity and correlation shift: exact oracle and Monte Carlo estimator.
+"""Diversity and correlation shift: exact oracle and kernel estimator.
 
 The oracle sums Definition-style formulas exactly over a discrete latent
-spec. The estimator fits one KDE per environment over extracted features
-and evaluates the same integrals by importance sampling from the mixture of
-the two fits, splitting draws into a no-shared-support region (diversity)
-and a shared-support region (correlation) by density thresholds. The label
-conditionals come from each fit's class-y rows, so they sum to 1 and carry
-the measured class priors.
+spec. The estimator evaluates the same integrals at the pooled extracted
+features themselves, an exact sample of the mixture of the two
+environments. One pass of leave-one-out Gaussian kernel sums, split by
+(fold, environment, class), gives both environment densities and their
+label conditionals at every point. A point whose smaller environment density
+is a small fraction of the mixture density counts towards diversity, any
+other point towards correlation, where the two folds' conditional gaps are
+cross-fitted so that a zero gap reads 0 on average.
 
 The independent runs of a pipeline, a sweep or a comparison go through one
 executor, `_map`, which runs them concurrently, each on one BLAS thread.
@@ -26,19 +28,18 @@ import numpy as np
 
 from .data import Rng
 from .datagen import gen_colored
-from .density import kde_fit, kde_logpdf, kde_sample
 from .discriminator import extract, train
 
-# a draw lies in the diversity region when p or q is below _EPS_DIV, and in
-# the correlation region when both exceed _EPS_COR; _EPS_DIV < _EPS_COR keeps
-# the regions disjoint
-_EPS_DIV = 1e-12
-_EPS_COR = 5e-4
+# a point lies in the diversity region when min(p, q) < _EPS * w, and in the
+# correlation region otherwise; a ratio of densities, so it has no units
+_EPS = 1e-2
+# kernel entries per block of rows: 4 MiB of float64
+_BLOCK = 1 << 19
 
 
 @dataclass(frozen=True)
 class EstimatorConfig:
-    n_mc_samples: int = 10000  # importance sampling size
+    n_mc_samples: int = 10000  # at most this many evaluation points
     n_runs: int = 5
     bandwidth_scale: float = 0.7
 
@@ -78,10 +79,10 @@ def oracle_shift(spec):
 
 
 def estimate(F_tr, F_te, labels_tr, labels_te, cfg, rng):
-    """One importance-sampling run of the shift estimator.
+    """One run of the shift estimator over the pooled features.
 
-    Returns (d_div, d_cor, diagnostics). Estimates are reported raw and may
-    exceed 1.
+    Returns (d_div, d_cor, diagnostics). Estimates are reported raw: they
+    may exceed 1, and d_cor, unbiased at 0, may read below 0.
     """
     cfg.validate()
     F_tr = np.asarray(F_tr, dtype=np.float64)
@@ -100,56 +101,80 @@ def estimate(F_tr, F_te, labels_tr, labels_te, cfg, rng):
             raise ValueError(f"class {cls} underpopulated in one environment")
 
     n_tr, n_te = F_tr.shape[0], F_te.shape[0]
-    n = n_tr + n_te
+    n, m = n_tr + n_te, F_tr.shape[1]
     pooled = np.concatenate([F_tr, F_te])
-    # a constant column's std is floored so that it standardizes to 0
-    pooled_s = (pooled - pooled.mean(axis=0)) / np.maximum(pooled.std(axis=0), 1e-8)
+    std = pooled.std(axis=0)
+    # a constant column standardizes to exactly 0: round-off left in it would
+    # reach the last bit of the expanded distance below
+    Z = (pooled - pooled.mean(axis=0)) / np.maximum(std, 1e-8)
+    Z[:, std < 1e-8] = 0.0
+    # one bandwidth for every kernel sum, floored so no distance overflows
+    Z /= max(cfg.bandwidth_scale * n_tr ** (-1.0 / (m + 4)), 1e-6)
 
-    # shared unit kernel scale: the pool is standardized, and giving both
-    # environment fits the same per-dim scale keeps their densities comparable
-    p_hat = kde_fit(pooled_s[:n_tr], cfg.bandwidth_scale, std=1.0)
-    q_hat = kde_fit(pooled_s[n_tr:], cfg.bandwidth_scale, std=1.0)
+    env = np.repeat([0, 1], [n_tr, n_te])
+    y = np.searchsorted(classes, np.concatenate([labels_tr, labels_te]))
+    C = classes.size
+    fold = _folds(env * C + y, rng)
+    groups = np.zeros((n, 2, 2, C))  # one-hot (fold, env, class) per point
+    groups[np.arange(n), fold, env, y] = 1.0
+    groups = groups.reshape(n, 4 * C)
 
-    # M draws from the mixture w = (n_tr p + n_te q) / n: a draw comes from
-    # p when its uniform pooled index falls in env 0
+    # the evaluation points: the pool is an exact sample of the mixture w
     M = cfg.n_mc_samples
-    m_p = int((rng.integers(0, n, M) < n_tr).sum())
-    draws = np.concatenate(
-        [kde_sample(fit, k, rng) for fit, k in ((p_hat, m_p), (q_hat, M - m_p)) if k]
-    )
+    at = np.arange(n) if n <= M else rng.choice(n, M, replace=False)
+    sq = np.sum(Z**2, axis=1)
+    S = np.empty((at.size, 4 * C))
+    rows = max(1, _BLOCK // n)
+    buf = np.empty((min(rows, at.size), n))
+    for start in range(0, at.size, rows):
+        i = at[start : start + rows]
+        k = np.matmul(Z[i], Z.T, out=buf[: i.size])
+        k *= -2.0
+        k += sq
+        k += sq[i, None]
+        np.maximum(k, 0.0, out=k)
+        # leave the point itself out; shifting each row by its nearest
+        # neighbour's distance changes no ratio used below and keeps an
+        # isolated point's sums from underflowing to 0
+        k[np.arange(i.size), i] = np.inf
+        k -= k.min(axis=1, keepdims=True)
+        k *= -0.5
+        np.exp(k, out=k)
+        S[start : start + rows] = k @ groups
+    S = S.reshape(-1, 2, 2, C)
 
-    # log p(z, y): the environment KDE summed over its class-y rows only,
-    # with the environment's normalisation kept, so p(z) = sum_y p(z, y)
-    log_py, log_qy = (
-        np.stack([
-            kde_logpdf(replace(fit, points=fit.points[labels == cls]), draws)
-            for cls in classes
-        ])
-        for fit, labels in ((p_hat, labels_tr), (q_hat, labels_te))
-    )
-    log_p = np.logaddexp.reduce(log_py, axis=0)
-    log_q = np.logaddexp.reduce(log_qy, axis=0)
-    log_w = np.logaddexp(math.log(n_tr / n) + log_p, math.log(n_te / n) + log_q)
-    p_vals = np.exp(log_p)
-    q_vals = np.exp(log_q)
+    # p, q and w at each evaluation point, up to one common factor per point
+    env_mass = S.sum(axis=(1, 3))
+    p = env_mass[:, 0] / n_tr
+    q = env_mass[:, 1] / n_te
+    w = env_mass.sum(axis=1) / n
+    div = np.minimum(p, q) < _EPS * w
+    d_div = float((0.5 * np.abs(p - q) / w)[div].sum() / at.size)
 
-    div_mask = (p_vals < _EPS_DIV) | (q_vals < _EPS_DIV)
-    d_div = float(
-        np.abs(np.exp(log_p - log_w) - np.exp(log_q - log_w))[div_mask].sum() / (2.0 * M)
-    )
+    # each fold's label conditionals; a fold with no kernel mass from one
+    # environment gives no gap
+    fold_env = S.sum(axis=3, keepdims=True)
+    cond = np.divide(S, fold_env, out=np.zeros_like(S), where=fold_env > 0)
+    gap = (cond[:, :, 0] - cond[:, :, 1]) * (fold_env > 0).all(axis=2)
+    # cross-fitted |gap|: one fold's sign times the other fold's gap has mean
+    # 0 where the true gap is 0, so d_cor has no floor there
+    cross = 0.5 * (np.sign(gap[:, 0]) * gap[:, 1] + np.sign(gap[:, 1]) * gap[:, 0]).sum(axis=1)
+    d_cor = float((0.5 * cross * np.sqrt(p * q) / w)[~div].sum() / at.size)
 
-    # both densities exceed _EPS_COR here, so every log below is finite
-    cor_mask = (p_vals > _EPS_COR) & (q_vals > _EPS_COR)
-    lp, lq = log_p[cor_mask], log_q[cor_mask]
-    cond_gap = np.abs(np.exp(log_py[:, cor_mask] - lp) - np.exp(log_qy[:, cor_mask] - lq))
-    overlap = np.exp(0.5 * (lp + lq) - log_w[cor_mask])  # sqrt(p q) / w
-    d_cor = float((cond_gap.sum(axis=0) * overlap).sum() / (2.0 * M))
-
-    diagnostics = {
-        "frac_div_region": float(div_mask.mean()),
-        "frac_cor_region": float(cor_mask.mean()),
-    }
+    frac_div = float(div.mean())
+    diagnostics = {"frac_div_region": frac_div, "frac_cor_region": 1.0 - frac_div}
     return d_div, d_cor, diagnostics
+
+
+def _folds(groups, rng):
+    """Fold 0 or 1 per point: one seeded permutation, folds alternating by
+    rank within each group, so a group of 2 or more rows has both folds."""
+    perm = rng.permutation(groups.size)
+    order = perm[np.argsort(groups[perm], kind="stable")]
+    ranked = groups[order]
+    fold = np.empty(groups.size, dtype=np.int64)
+    fold[order] = (np.arange(groups.size) - np.searchsorted(ranked, ranked)) % 2
+    return fold
 
 
 def _mean_stderr(arr):

@@ -1,7 +1,7 @@
 """Acceptance suite: one test per criterion, stated tolerances.
 
 Pipeline criteria use the synthetic colored-digit data at n_per_env=2000
-with MLP defaults, M=10000 importance samples, and 5 runs.
+with MLP defaults, at most M=10000 evaluation points, and 5 runs.
 """
 
 import itertools

@@ -20,14 +20,6 @@ def test_kde_scott_bandwidth_formula():
     assert np.allclose(model.bandwidth, expected, rtol=1e-12)
 
 
-def test_kde_std_override_shares_scale():
-    F1 = Rng(4).normal(0.0, 0.1, (200, 2))
-    F2 = Rng(5).normal(0.0, 5.0, (200, 2))
-    m1 = kde_fit(F1, std=1.0)
-    m2 = kde_fit(F2, std=1.0)
-    assert np.array_equal(m1.bandwidth, m2.bandwidth)
-
-
 def test_kde_needs_two_rows():
     with pytest.raises(ValueError):
         kde_fit(np.zeros((1, 2)))
