@@ -46,7 +46,14 @@ def mmd(F_tr, F_te, rng=None):
         raise ValueError("mmd needs at least 2 rows per set")
 
     pooled = np.concatenate([X, Y])
-    d2 = cdist(pooled, pooled, "sqeuclidean")
+    # squared distances |a|^2 + |b|^2 - 2a.b from one Gram matrix, clipped at
+    # 0; mirroring the upper triangle makes them exactly symmetric
+    d2 = pooled @ pooled.T
+    sq = d2.diagonal().copy()
+    d2 *= -2.0
+    d2 += np.add.outer(sq, sq)
+    d2 = np.triu(np.maximum(d2, 0.0, out=d2), 1)
+    d2 += d2.T
     sigma = np.median(np.sqrt(d2[np.triu(np.ones(d2.shape, dtype=bool), k=1)]))
     if sigma <= 0.0:
         sigma = 1.0
@@ -55,9 +62,10 @@ def mmd(F_tr, F_te, rng=None):
     kxx = np.exp(-gamma * d2[:n, :n])
     kyy = np.exp(-gamma * d2[n:, n:])
     kxy = np.exp(-gamma * d2[:n, n:])
-    # paired unbiased estimator: all i != j terms, diagonals excluded
+    # paired unbiased estimator: all i != j terms, diagonals excluded; the
+    # cross terms are added first, so swapping X and Y gives the same bits
     off = ~np.eye(n, dtype=bool)
-    mmd2 = (kxx[off] + kyy[off] - kxy[off] - kxy.T[off]).sum() / (n * (n - 1))
+    mmd2 = (kxx[off] + kyy[off] - (kxy[off] + kxy.T[off])).sum() / (n * (n - 1))
     return math.sqrt(max(0.0, mmd2))
 
 

@@ -130,65 +130,51 @@ def _loss_and_grads(g_layers, h_layers, x, y_onehot, envs, g_grads, h_grads):
     return loss
 
 
-# elements per Adam block: 128 KiB in float32, so that a block and its
-# scratch blocks stay in cache across the passes of one update
-_ADAM_BLOCK = 32_768
-
-
 class _Adam:
     """Standard Adam (beta1=0.9, beta2=0.999, eps=1e-8) over flat buffers.
 
-    `step` reads `grads` and updates `params` in place, block by block
-    through scratch blocks of its own, so a step allocates nothing. It
-    rounds as m = b1*m + (1-b1)*g, v = b2*v + ((1-b2)*g)*g and
+    `step` reads `grads` and updates `params` in place through full-size
+    scratch buffers of its own, so a step allocates nothing. Each operation
+    is one NumPy call over the whole buffer, so that concurrent trainings do
+    not serialise on the GIL between many small calls. It rounds as
+    m = b1*m + (1-b1)*g, v = b2*v + ((1-b2)*g)*g and
     p -= (lr*(m/b1t)) / (sqrt(v/b2t) + eps) do, one operation at a time,
     in the dtype of `params`.
 
     Subnormal entries of m are flushed to zero after each update. Where a
-    gradient stays 0 (unlit pixels, dead units), m decays by b1 a step and
-    turns subnormal after some 700 float32 steps; arithmetic on subnormals
-    would then make every later step several times slower.
+    gradient stays 0 (dead units, rarely lit inputs), m decays by b1 a step
+    and turns subnormal after some 700 float32 steps; arithmetic on
+    subnormals would then make every later step several times slower.
     """
 
     def __init__(self, params, grads, lr):
-        self.lr = lr
-        self.tiny = np.finfo(params.dtype).tiny
-        m, v = np.zeros_like(params), np.zeros_like(params)
-        n_max = min(_ADAM_BLOCK, params.size)
-        s, r = np.empty((2, n_max), params.dtype)
-        normal = np.empty(n_max, bool)
-        self.blocks = []
-        for start in range(0, params.size, _ADAM_BLOCK):
-            blk = slice(start, start + _ADAM_BLOCK)
-            n = params[blk].size
-            self.blocks.append(
-                (params[blk], grads[blk], m[blk], v[blk], s[:n], r[:n], normal[:n])
-            )
-        self.t = 0
+        self.lr, self.tiny, self.t = lr, np.finfo(params.dtype).tiny, 0
+        self.m, v, s, r = np.zeros((4, *params.shape), params.dtype)
+        self.bufs = (params, grads, self.m, v, s, r, np.empty(params.shape, bool))
 
     def step(self):
         self.t += 1
         b1, b2 = 0.9, 0.999
         b1t = 1.0 - b1**self.t
         b2t = 1.0 - b2**self.t
-        for p, g, m, v, s, r, normal in self.blocks:
-            m *= b1
-            np.multiply(g, 1.0 - b1, out=s)
-            m += s
-            np.abs(m, out=r)
-            np.greater_equal(r, self.tiny, out=normal)
-            m *= normal
-            v *= b2
-            np.multiply(g, 1.0 - b2, out=s)
-            s *= g
-            v += s
-            np.divide(m, b1t, out=s)
-            s *= self.lr
-            np.divide(v, b2t, out=r)
-            np.sqrt(r, out=r)
-            r += 1e-8
-            s /= r
-            p -= s
+        p, g, m, v, s, r, normal = self.bufs
+        m *= b1
+        np.multiply(g, 1.0 - b1, out=s)
+        m += s
+        np.abs(m, out=r)
+        np.greater_equal(r, self.tiny, out=normal)
+        m *= normal
+        v *= b2
+        np.multiply(g, 1.0 - b2, out=s)
+        s *= g
+        v += s
+        np.divide(m, b1t, out=s)
+        s *= self.lr
+        np.divide(v, b2t, out=r)
+        np.sqrt(r, out=r)
+        r += 1e-8
+        s /= r
+        p -= s
 
 
 def _cell_indices(labels, envs, n_classes):
@@ -227,7 +213,9 @@ def train(ds, cfg, rng):
     steps (and at the final step) validation environment accuracy is measured
     and the best-scoring parameters are kept. Parameters, gradients, Adam's
     state and each batch are float32; validation runs on the float64 features.
-    The input width and class count are the dataset's.
+    The input width and class count are the dataset's. Input columns that
+    are 0 in every row are left out: their first-layer weights would get a
+    zero gradient, so they keep their initial draws.
     """
     cfg.validate()
     if not np.isin((0, 1), ds.envs).all():
@@ -237,11 +225,19 @@ def train(ds, cfg, rng):
     n_classes = ds.n_classes
     cells = _cell_indices(ds.labels[train_idx], ds.envs[train_idx], n_classes)
     eye = np.eye(n_classes, dtype=np.float32)
-    x_val, y_val = ds.features[val_idx], eye[ds.labels[val_idx]]
+    lit = ds.features.any(axis=0)
+    cols = np.flatnonzero(lit)
+    x_val, y_val = ds.features[val_idx][:, cols], eye[ds.labels[val_idx]]
     e_val = ds.envs[val_idx]
 
-    params, g_layers, h_layers = _init_params(cfg, ds.n_dims, n_classes, rng, np.float32)
-    grads, g_grads, h_grads = _flat_layers(cfg, ds.n_dims, n_classes, np.float32)
+    # the full-width stack is drawn and returned; the trained copy drops the
+    # unlit columns' rows of the first W, which leads the flat layout
+    full, full_g, full_h = _init_params(cfg, ds.n_dims, n_classes, rng, np.float32)
+    keep = np.ones(full.size, bool)
+    keep[: full_g[0][0].size] = np.repeat(lit, full_g[0][0].shape[1])
+    params, g_layers, h_layers = _flat_layers(cfg, cols.size, n_classes, np.float32)
+    params[...] = full[keep]
+    grads, g_grads, h_grads = _flat_layers(cfg, cols.size, n_classes, np.float32)
     opt = _Adam(params, grads, cfg.lr)
 
     best_acc = -1.0
@@ -251,7 +247,7 @@ def train(ds, cfg, rng):
         # each batch is gathered from ds by row index and cast alone, so no
         # copy of the training split is kept
         idx = train_idx[_sample_batch(cells, n_classes, cfg.batch_per_env, rng)]
-        x = ds.features[idx].astype(np.float32)
+        x = ds.features[idx][:, cols].astype(np.float32)
         y, e = eye[ds.labels[idx]], ds.envs[idx].astype(np.float32)
         loss = _loss_and_grads(g_layers, h_layers, x, y, e, g_grads, h_grads)
         if not np.isfinite(loss):
@@ -264,11 +260,11 @@ def train(ds, cfg, rng):
                 best_acc = acc
                 best_params = params.copy()
 
-    params[...] = best_params
+    full[keep] = best_params
 
     return ExtractorModel(
-        g_layers=g_layers,
-        h_layers=h_layers,
+        g_layers=full_g,
+        h_layers=full_h,
         val_accuracy=best_acc,
         loss_curve=loss_curve,
     )
