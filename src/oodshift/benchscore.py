@@ -8,7 +8,7 @@ strict inequalities (a value exactly on the edge scores 0).
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from importlib import resources
 
 

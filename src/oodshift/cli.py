@@ -150,6 +150,19 @@ def _log(out, message):
         fh.write(f"[{time.strftime('%Y-%m-%d %H:%M:%S')}] {message}\n")
 
 
+def _spec_doc(spec):
+    """A spec's fields as JSON values, arrays as nested lists."""
+    return {f.name: np.asarray(getattr(spec, f.name)).tolist() for f in dataclasses.fields(spec)}
+
+
+def _write_csv(path, records):
+    """One row per record under a header of the first record's keys."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.DictWriter(fh, fieldnames=list(records[0]))
+        writer.writeheader()
+        writer.writerows(records)
+
+
 def _build_dataset(args, config):
     if getattr(args, "data", None):
         if "spec" in config:
@@ -160,11 +173,11 @@ def _build_dataset(args, config):
     spec = _spec(args, config)
     rng = Rng(args.seed)
     if isinstance(spec, ColoredSpec):
-        return gen_colored(spec, rng), {"spec": json.loads(spec.to_json()), "kind": "colored"}
+        return gen_colored(spec, rng), {"spec": _spec_doc(spec), "kind": "colored"}
     # the latent generator takes the colored one's default row count
     n_per_env = ColoredSpec.n_per_env if args.n_per_env is None else args.n_per_env
     ds = gen_latent(spec, n_per_env, rng, noise_std=_LATENT_NOISE)
-    return ds, {"spec": json.loads(spec.to_json()), "kind": "latent",
+    return ds, {"spec": _spec_doc(spec), "kind": "latent",
                 "n_per_env": n_per_env, "noise_std": _LATENT_NOISE}
 
 
@@ -224,18 +237,13 @@ def cmd_sweep(args):
     mlp_cfg, est_cfg = _run_configs(config, args, EstimatorConfig(n_runs=1))
     out = _prepare_out(args)
     _echo_config(out, args, {
-        "spec": json.loads(spec.to_json()), "axes": args.axes, "grid": values,
+        "spec": _spec_doc(spec), "axes": args.axes, "grid": values,
         "mlp": dataclasses.asdict(mlp_cfg), "estimator": dataclasses.asdict(est_cfg),
     })
     t0 = time.time()
     records = sweep(spec, axis1, values, axis2, values, mlp_cfg, est_cfg, args.seed)
     _log(out, f"sweep: {len(records)} cells in {time.time() - t0:.1f}s")
-    with open(out / "sweep.csv", "w", newline="") as fh:
-        writer = csv.DictWriter(
-            fh, fieldnames=[axis1, axis2, "d_div", "d_cor", "stderr_div", "stderr_cor"]
-        )
-        writer.writeheader()
-        writer.writerows(records)
+    _write_csv(out / "sweep.csv", records)
     print(f"wrote {len(records)} cells to {out / 'sweep.csv'}")
     return 0
 
@@ -257,13 +265,7 @@ def cmd_compare(args):
     t0 = time.time()
     rows = baselines.compare_table(specs, mlp_cfg, est_cfg, args.seed)
     _log(out, f"compare: {len(rows)} rows in {time.time() - t0:.1f}s")
-    with open(out / "compare.csv", "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=[
-            "rho_te", "blue", "emd", "emd_stderr", "mmd", "mmd_stderr",
-            "ni", "ni_stderr", "d_div", "d_div_stderr", "d_cor", "d_cor_stderr",
-        ])
-        writer.writeheader()
-        writer.writerows(rows)
+    _write_csv(out / "compare.csv", rows)
     print(f"wrote {len(rows)} rows to {out / 'compare.csv'}")
     return 0
 

@@ -5,12 +5,11 @@ color/label correlation and blue-intensity knobs, and explicit discrete
 latent distributions whose true shift values are computable in closed form.
 """
 
-import json
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass
 
 import numpy as np
 
-from .data import LabeledDataset, Rng
+from .data import LabeledDataset
 
 
 @dataclass(frozen=True)
@@ -45,9 +44,6 @@ class ColoredSpec:
             raise ValueError("n_per_env must be >= 2")
         if self.image_side < 1:
             raise ValueError("image_side must be >= 1")
-
-    def to_json(self):
-        return json.dumps(asdict(self), indent=2, sort_keys=True)
 
 
 def irm_colored_default(n_per_env=2000):
@@ -176,19 +172,6 @@ class LatentSpec:
     @property
     def n_classes(self):
         return self.p_y_given_z.shape[1]
-
-    def to_json(self):
-        return json.dumps(
-            {
-                "support": self.support.tolist(),
-                "p_z": self.p_z.tolist(),
-                "q_z": self.q_z.tolist(),
-                "p_y_given_z": self.p_y_given_z.tolist(),
-                "q_y_given_z": self.q_y_given_z.tolist(),
-            },
-            indent=2,
-            sort_keys=True,
-        )
 
 
 def latent_spec_a():

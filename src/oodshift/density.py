@@ -21,9 +21,9 @@ class KdeModel:
     log_norm_const: float  # -log k - sum_j log(h_j * sqrt(2 pi))
 
 
-def kde_fit(F, bandwidth_scale=1.0):
-    """Fit a product-Gaussian KDE; h_j = scale * sigma_j * k^(-1/(m+4)),
-    with sigma_j the per-dimension std of F (Scott's rule)."""
+def kde_fit(F):
+    """Fit a product-Gaussian KDE; h_j = sigma_j * k^(-1/(m+4)), with
+    sigma_j the per-dimension std of F (Scott's rule)."""
     F = np.asarray(F, dtype=np.float64)
     if F.ndim == 1:
         F = F[:, None]
@@ -31,7 +31,7 @@ def kde_fit(F, bandwidth_scale=1.0):
     if k < 2:
         raise ValueError("need at least 2 rows to fit a KDE")
     h = F.std(axis=0) * k ** (-1.0 / (m + 4))
-    h = np.maximum(h * bandwidth_scale, _BANDWIDTH_FLOOR)
+    h = np.maximum(h, _BANDWIDTH_FLOOR)
     log_norm = -np.log(k) - np.sum(np.log(h) + 0.5 * _LOG_2PI)
     return KdeModel(points=F, bandwidth=h, log_norm_const=float(log_norm))
 

@@ -12,7 +12,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import LabeledDataset, split_train_val
+from .data import split_train_val
+
+# the share of rows train fits on; the rest is its validation split
+_TRAIN_FRAC = 0.9
 
 
 @dataclass(frozen=True)
@@ -23,7 +26,6 @@ class MlpConfig:
     lr: float = 0.0003
     iters: int = 2000
     batch_per_env: int = 32
-    train_frac: float = 0.9
     checkpoint_every: int = 100
 
     def validate(self):
@@ -221,7 +223,7 @@ def train(ds, cfg, rng):
     if not np.isin((0, 1), ds.envs).all():
         raise ValueError("dataset must contain both environments")
 
-    train_idx, val_idx = split_train_val(ds.n_rows, cfg.train_frac, rng)
+    train_idx, val_idx = split_train_val(ds.n_rows, _TRAIN_FRAC, rng)
     n_classes = ds.n_classes
     cells = _cell_indices(ds.labels[train_idx], ds.envs[train_idx], n_classes)
     eye = np.eye(n_classes, dtype=np.float32)
@@ -274,9 +276,9 @@ def train(ds, cfg, rng):
 _EXTRACT_BLOCK = 1024
 
 
-def extract(model, data):
-    """Apply the feature extractor to a dataset or raw feature matrix."""
-    x = data.features if isinstance(data, LabeledDataset) else np.asarray(data)
+def extract(model, x):
+    """Apply the feature extractor to an (n, in_dim) feature matrix."""
+    x = np.asarray(x)
     in_dim = model.g_layers[0][0].shape[0]
     if x.ndim != 2 or x.shape[1] != in_dim:
         raise ValueError(f"expected (n, {in_dim}) input, got {x.shape}")
@@ -284,12 +286,8 @@ def extract(model, data):
     out = np.empty((x.shape[0], layers[-1][0].shape[1]))
     # blocks of rows keep the working set to one block's activations
     for start in range(0, x.shape[0], _EXTRACT_BLOCK):
-        a = x[start : start + _EXTRACT_BLOCK]
-        for i, (W, b) in enumerate(layers):
-            a = a @ W + b
-            if i < len(layers) - 1:
-                np.maximum(a, 0.0, out=a)
-        out[start : start + _EXTRACT_BLOCK] = a
+        block = slice(start, start + _EXTRACT_BLOCK)
+        out[block] = _mlp_forward(layers, x[block])[0]
     return out
 
 

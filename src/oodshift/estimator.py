@@ -35,21 +35,20 @@ from .discriminator import extract, train
 _EPS = 1e-2
 # kernel entries per block of rows: 4 MiB of float64
 _BLOCK = 1 << 19
+# the kernel bandwidth, in pooled standard deviations, is this times n0^(-1/(m+4))
+_BANDWIDTH_SCALE = 0.7
 
 
 @dataclass(frozen=True)
 class EstimatorConfig:
     n_mc_samples: int = 10000  # at most this many evaluation points
     n_runs: int = 5
-    bandwidth_scale: float = 0.7
 
     def validate(self):
         if self.n_mc_samples < 1:
             raise ValueError("n_mc_samples must be >= 1")
         if self.n_runs < 1:
             raise ValueError("n_runs must be >= 1")
-        if not self.bandwidth_scale > 0.0:
-            raise ValueError("bandwidth_scale must be > 0")
 
 
 @dataclass
@@ -109,7 +108,7 @@ def estimate(F_tr, F_te, labels_tr, labels_te, cfg, rng):
     Z = (pooled - pooled.mean(axis=0)) / np.maximum(std, 1e-8)
     Z[:, std < 1e-8] = 0.0
     # one bandwidth for every kernel sum, floored so no distance overflows
-    Z /= max(cfg.bandwidth_scale * n_tr ** (-1.0 / (m + 4)), 1e-6)
+    Z /= max(_BANDWIDTH_SCALE * n_tr ** (-1.0 / (m + 4)), 1e-6)
 
     env = np.repeat([0, 1], [n_tr, n_te])
     y = np.searchsorted(classes, np.concatenate([labels_tr, labels_te]))

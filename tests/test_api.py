@@ -1,5 +1,6 @@
-"""The package's exported names."""
+"""The package's exported names and its modules' imports."""
 
+import ast
 import re
 import types
 from pathlib import Path
@@ -19,3 +20,22 @@ def test_all_is_explicit_and_covers_readme_entry_points():
     named = {name for row in rows for name in re.findall(r"`([A-Za-z_]\w*)[`(]", row)}
     assert len(rows) >= 8 and named
     assert named <= set(oodshift.__all__), named - set(oodshift.__all__)
+
+
+def test_no_unused_imports():
+    # every name a module imports at module level is read somewhere in it;
+    # __init__.py imports only to re-export
+    src = Path(oodshift.__file__).parent
+    unused = []
+    for path in sorted(src.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        imported = {
+            (alias.asname or alias.name).split(".")[0]
+            for node in tree.body if isinstance(node, (ast.Import, ast.ImportFrom))
+            for alias in node.names
+        }
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [f"{path.name}: {name}" for name in sorted(imported - read)]
+    assert not unused, unused

@@ -5,9 +5,10 @@ import csv
 import dataclasses
 import json
 
+import numpy as np
 import pytest
 
-from oodshift import ColoredSpec, EstimatorConfig, MlpConfig, load_csv
+from oodshift import ColoredSpec, EstimatorConfig, LatentSpec, MlpConfig, latent_spec_a, load_csv
 from oodshift.cli import _JSON_TYPES, build_parser, main
 from oodshift.estimator import _openblas
 
@@ -47,6 +48,27 @@ def test_generate_latent_preset(tmp_path):
     ds = load_csv(out / "data.csv")
     assert ds.n_rows == 60
     assert ds.n_dims == 1
+
+
+def test_generate_spec_json_rebuilds_colored_spec(tmp_path):
+    # the spec block of spec.json holds every field of the spec
+    doc = {"spec": {"rho_tr": 0.2, "mu_te": 0.7, "sigma_te": 0.1}}
+    out = tmp_path / "out"
+    assert main(["generate", "--config", _write_config(tmp_path, doc), "--n-per-env", "50",
+                 "--out", str(out)]) == 0
+    spec = json.loads((out / "spec.json").read_text())["spec"]
+    assert ColoredSpec(**spec) == ColoredSpec(rho_tr=0.2, mu_te=0.7, sigma_te=0.1, n_per_env=50)
+
+
+def test_generate_spec_json_rebuilds_latent_spec(tmp_path):
+    out = tmp_path / "out"
+    assert main(["generate", "--preset", "latent-a", "--n-per-env", "20",
+                 "--out", str(out)]) == 0
+    doc = json.loads((out / "spec.json").read_text())["spec"]
+    assert doc.keys() == {f.name for f in dataclasses.fields(LatentSpec)}
+    back, want = LatentSpec(**doc), latent_spec_a()
+    for name in doc:
+        assert np.array_equal(getattr(back, name), getattr(want, name))
 
 
 # ---------------------------------------------------------------------------
@@ -362,6 +384,9 @@ def test_non_finite_csv_cell_exit_2(tmp_path, capsys):
     ({"mlp": {"hidden_dims": [-3]}}, "hidden_dims must be >= 1"),
     ({"estimator": {"eps_div": 1e-12}}, "'eps_div'"),
     ({"estimator": {"eps_cor": 5e-4}}, "'eps_cor'"),
+    # the training fraction and the bandwidth scale are module constants
+    ({"mlp": {"train_frac": 0.5}}, "'train_frac'"),
+    ({"estimator": {"bandwidth_scale": 0.5}}, "'bandwidth_scale'"),
 ])
 def test_bad_config_block_exit_2(tmp_path, capsys, doc, culprit):
     rc = main([
@@ -373,6 +398,7 @@ def test_bad_config_block_exit_2(tmp_path, capsys, doc, culprit):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert culprit in err
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("target", [ColoredSpec, MlpConfig, EstimatorConfig])

@@ -1,7 +1,5 @@
 """Tests for the synthetic two-environment generators."""
 
-import json
-
 import numpy as np
 import pytest
 
@@ -30,11 +28,6 @@ def test_colored_spec_validate_ranges():
         ColoredSpec(sigma_te=-0.1).validate()
     with pytest.raises(ValueError, match="n_per_env"):
         ColoredSpec(n_per_env=1).validate()
-
-
-def test_colored_spec_json_round_trip():
-    spec = ColoredSpec(rho_tr=0.2, mu_te=0.7, n_per_env=50)
-    assert ColoredSpec(**json.loads(spec.to_json())) == spec
 
 
 def test_irm_default_fields():
@@ -161,15 +154,6 @@ def test_latent_spec_tv_total_variation():
 def test_latent_spec_tv_rejects_out_of_range():
     with pytest.raises(ValueError):
         latent_spec_tv(1.1)
-
-
-def test_latent_spec_json_round_trip():
-    spec = latent_spec_a()
-    doc = json.loads(spec.to_json())
-    assert doc.keys() == {"support", "p_z", "q_z", "p_y_given_z", "q_y_given_z"}
-    back = LatentSpec(**doc)
-    for name in doc:
-        assert np.array_equal(getattr(back, name), getattr(spec, name))
 
 
 def test_random_latent_spec_is_valid():

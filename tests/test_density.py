@@ -176,8 +176,10 @@ def test_kde_sample_mean_matches_fit_mean():
 
 
 def test_kde_sample_small_bandwidth_limit():
+    from oodshift import KdeModel
+
     pts = np.array([[0.0], [10.0], [20.0]])
-    model = kde_fit(pts, bandwidth_scale=1e-30)  # floored at 1e-6
+    model = KdeModel(points=pts, bandwidth=np.array([1e-6]), log_norm_const=0.0)
     draws = kde_sample(model, 1000, Rng(15))
     nearest = np.min(np.abs(draws - pts[:, 0][None, :]), axis=1)
     assert nearest.max() < 1e-4

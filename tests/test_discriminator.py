@@ -19,6 +19,7 @@ from oodshift import (
 )
 from oodshift.discriminator import (
     _EXTRACT_BLOCK,
+    _TRAIN_FRAC,
     ExtractorModel,
     _Adam,
     _accuracy,
@@ -112,7 +113,7 @@ def _reference_glorot_stack(rng, dims):
 
 
 def _reference_train(ds, cfg, rng, mask=True):
-    train_idx, val_idx = split_train_val(ds.n_rows, cfg.train_frac, rng)
+    train_idx, val_idx = split_train_val(ds.n_rows, _TRAIN_FRAC, rng)
     train_ds, val_ds = ds.subset(train_idx), ds.subset(val_idx)
     cells = _cell_indices(train_ds.labels, train_ds.envs, ds.n_classes)
     lit = np.any(ds.features != 0.0, axis=0) if mask else np.ones(ds.n_dims, bool)
@@ -193,7 +194,7 @@ def test_train_bit_identical_to_reference(case):
 def _glorot_draws(ds, cfg, seed):
     # the full-width float32 stack train draws after its split
     rng = Rng(seed)
-    split_train_val(ds.n_rows, cfg.train_frac, rng)
+    split_train_val(ds.n_rows, _TRAIN_FRAC, rng)
     return _init_params(cfg, ds.n_dims, ds.n_classes, rng, np.float32)[1]
 
 
@@ -230,7 +231,7 @@ def test_train_all_zero_features():
     model = train(ds, cfg, Rng(36))
     assert np.array_equal(model.g_layers[0][0], _glorot_draws(ds, cfg, 36)[0][0])
     assert 0.0 <= model.val_accuracy <= 1.0
-    assert extract(model, ds).shape == (n, cfg.feature_dim)
+    assert extract(model, ds.features).shape == (n, cfg.feature_dim)
 
 
 def test_train_float32_extract_and_grad_check_float64():
@@ -241,7 +242,7 @@ def test_train_float32_extract_and_grad_check_float64():
     model = train(ds, cfg, Rng(34))
     for W, b in model.g_layers + model.h_layers:
         assert W.dtype == np.float32 and b.dtype == np.float32
-    feats = extract(model, ds)
+    feats = extract(model, ds.features)
     assert feats.dtype == np.float64
     # float64 arithmetic on the float32 weights, not a float32 forward pass
     a = ds.features
@@ -381,9 +382,11 @@ def test_extract_pure():
     ds = _latent_ds(0.7, n=50)
     cfg = MlpConfig(iters=10, hidden_dims=(8,))
     model = train(ds, cfg, Rng(11))
-    a = extract(model, ds)
-    b = extract(model, ds.features)
+    x = ds.features.copy()
+    a = extract(model, x)
+    b = extract(model, x)
     assert np.array_equal(a, b)
+    assert np.array_equal(x, ds.features)
 
 
 def test_extract_empty_input():

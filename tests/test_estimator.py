@@ -26,7 +26,7 @@ from oodshift import (
     sweep,
 )
 from oodshift import estimator
-from oodshift.estimator import _EPS
+from oodshift.estimator import _BANDWIDTH_SCALE, _EPS
 
 
 # ---------------------------------------------------------------------------
@@ -38,21 +38,17 @@ def test_config_validation():
         EstimatorConfig(n_mc_samples=0).validate()
     with pytest.raises(ValueError):
         EstimatorConfig(n_runs=0).validate()
-    for scale in (0.0, -1.0, float("nan")):
-        with pytest.raises(ValueError, match="bandwidth_scale"):
-            EstimatorConfig(bandwidth_scale=scale).validate()
 
 
 def test_config_defaults():
     cfg = EstimatorConfig()
     assert cfg.n_mc_samples == 10_000
     assert cfg.n_runs == 5
-    assert cfg.bandwidth_scale == 0.7
-    # the region threshold is a module constant, not a config field
-    assert {f.name for f in dataclasses.fields(cfg)} == {
-        "n_mc_samples", "n_runs", "bandwidth_scale"
-    }
+    # the region threshold and the bandwidth are module constants, not
+    # config fields
+    assert {f.name for f in dataclasses.fields(cfg)} == {"n_mc_samples", "n_runs"}
     assert _EPS == 1e-2
+    assert _BANDWIDTH_SCALE == 0.7
 
 
 # ---------------------------------------------------------------------------
@@ -111,10 +107,8 @@ def _latent_features(seed=3, n=2000, noise=0.05, spec=None):
 
 
 def test_estimate_latent_a_raw_features():
-    # the default bandwidth targets the 8-d extractor features; the raw 1-d
-    # tests here use a narrower kernel
     F_tr, F_te, y_tr, y_te = _latent_features()
-    cfg = EstimatorConfig(n_runs=1, bandwidth_scale=0.5)
+    cfg = EstimatorConfig(n_runs=1)
     d_div, d_cor, _ = estimate(F_tr, F_te, y_tr, y_te, cfg, Rng(4))
     assert d_div == pytest.approx(0.5, abs=0.1)
     assert d_cor == pytest.approx(0.4, abs=0.1)
@@ -188,7 +182,7 @@ def test_estimate_skewed_class_prior():
     )
     assert oracle_shift(spec) == pytest.approx((0.0, 0.2), abs=1e-12)
     F_tr, F_te, y_tr, y_te = _latent_features(n=3000, spec=spec)
-    cfg = EstimatorConfig(n_runs=1, bandwidth_scale=0.5)
+    cfg = EstimatorConfig(n_runs=1)
     d_div, d_cor, _ = estimate(F_tr, F_te, y_tr, y_te, cfg, Rng(4))
     assert d_div < 0.02
     assert d_cor == pytest.approx(0.2, abs=0.05)
@@ -232,7 +226,7 @@ def test_estimate_invariant_to_affine_features(log10_scales, shifts):
     # leave both estimates unchanged up to rounding
     F_tr, F_te, y_tr, y_te = _AFFINE_DATA
     scale, shift = 10.0 ** np.asarray(log10_scales), np.asarray(shifts)
-    cfg = EstimatorConfig(n_runs=1, n_mc_samples=500, bandwidth_scale=0.5)
+    cfg = EstimatorConfig(n_runs=1, n_mc_samples=500)
     base = estimate(F_tr, F_te, y_tr, y_te, cfg, Rng(17))[:2]
     moved = estimate(F_tr * scale + shift, F_te * scale + shift, y_tr, y_te, cfg, Rng(17))[:2]
     assert moved == pytest.approx(base, abs=1e-9)
@@ -243,7 +237,7 @@ def test_estimate_constant_feature_column():
     # its std is floored, so it standardizes to 0 whatever the value, and
     # a zero column must not collapse the estimate to (0, 0)
     F_tr, F_te, y_tr, y_te = _latent_features()
-    cfg = EstimatorConfig(n_runs=1, n_mc_samples=4000, bandwidth_scale=0.5)
+    cfg = EstimatorConfig(n_runs=1, n_mc_samples=4000)
     results = []
     for value in (0.0, 0.1, 7.3):
         pad_tr = np.full((F_tr.shape[0], 1), value)
@@ -288,13 +282,13 @@ def test_region_masks_mutually_exclusive():
         assert diag["frac_div_region"] + diag["frac_cor_region"] == 1.0
 
 
-def _reference_estimate(F_tr, F_te, y_tr, y_te, bandwidth_scale, fold, at):
+def _reference_estimate(F_tr, F_te, y_tr, y_te, fold, at):
     # the README's formulas as loops over the evaluation points `at`, with
     # each point's own kernel left out
     Z = np.concatenate([F_tr, F_te])
     Z = (Z - Z.mean(axis=0)) / Z.std(axis=0)
     (n_tr, m), n = F_tr.shape, Z.shape[0]
-    h = bandwidth_scale * n_tr ** (-1.0 / (m + 4))
+    h = _BANDWIDTH_SCALE * n_tr ** (-1.0 / (m + 4))
     env = [0] * n_tr + [1] * (n - n_tr)
     y = list(y_tr) + list(y_te)
     classes = sorted(set(y))
@@ -332,14 +326,29 @@ def test_estimate_matches_reference_loops(monkeypatch, M):
     F_te = r.normal(0.7, 1.0, (25, 2))
     y_tr, y_te = r.integers(0, 2, 30), r.integers(0, 2, 25)
     F_te[:5] += 6.0  # a cluster only environment 1 has
-    cfg = EstimatorConfig(n_runs=1, n_mc_samples=M, bandwidth_scale=0.7)
+    cfg = EstimatorConfig(n_runs=1, n_mc_samples=M)
     got = estimate(F_tr, F_te, y_tr, y_te, cfg, Rng(19))
     rng = Rng(19)
     fold = estimator._folds(np.concatenate([y_tr, 2 + y_te]), rng)
     at = range(55) if M >= 55 else rng.choice(55, M, replace=False)
-    want = _reference_estimate(F_tr, F_te, y_tr, y_te, cfg.bandwidth_scale, fold, at)
+    want = _reference_estimate(F_tr, F_te, y_tr, y_te, fold, at)
     assert got[0] > 0.0 and got[1] != 0.0
     assert got[:2] == pytest.approx(want, rel=1e-9, abs=1e-12)
+
+
+@pytest.mark.parametrize(
+    "spec", [latent_spec_a(), random_latent_spec(Rng(14), 3, 3)], ids=["latent-a", "random"]
+)
+def test_estimate_symmetric_under_environment_swap(spec):
+    # d_div does not depend on the folds, so swapping the environments moves
+    # it only by rounding; d_cor does, through the seeded folds, so only its
+    # mean over fold seeds must agree
+    F_tr, F_te, y_tr, y_te = _latent_features(n=1500, spec=spec)
+    cfg = EstimatorConfig(n_runs=1)
+    ab = np.array([estimate(F_tr, F_te, y_tr, y_te, cfg, Rng(s))[:2] for s in range(20)])
+    ba = np.array([estimate(F_te, F_tr, y_te, y_tr, cfg, Rng(s))[:2] for s in range(20)])
+    np.testing.assert_allclose(ba[:, 0], ab[:, 0], rtol=0, atol=1e-12)
+    assert abs(ba[:, 1].mean() - ab[:, 1].mean()) < 0.01
 
 
 def test_folds_split_every_group():
