@@ -16,67 +16,86 @@ from .estimator import _map, _mean_stderr, _run
 
 
 _N_SUB = 512  # rows per environment that mmd and emd compare
+_BLOCK = 64  # rows per block of mmd's distance sums, columns per block of ni's std
 
 
-def _paired_subsamples(F_tr, F_te, rng):
-    """Both sets as float64 matrices of size = min(_N_SUB, rows of each) rows,
+def _pooled_subsamples(F_tr, F_te, rng):
+    """Both sets as one float64 matrix, (size rows of F_tr, size rows of
+    F_te) with size = min(_N_SUB, rows of each), and size. The rows are
     drawn without replacement from F_tr first, then from F_te; a set of
     exactly size rows is kept whole, in order."""
     F_tr = np.asarray(F_tr, dtype=np.float64)
     F_te = np.asarray(F_te, dtype=np.float64)
     if F_tr.ndim != 2 or F_te.ndim != 2:
         raise ValueError("both sets must be 2-D (rows, features)")
+    if F_tr.shape[1] != F_te.shape[1]:
+        raise ValueError("both sets must have the same number of features")
     if F_tr.shape[0] == 0 or F_te.shape[0] == 0:
         raise ValueError("both sets must be nonempty")
     size = min(_N_SUB, F_tr.shape[0], F_te.shape[0])
-    if F_tr.shape[0] > size:
-        F_tr = F_tr[rng.choice(F_tr.shape[0], size=size, replace=False)]
-    if F_te.shape[0] > size:
-        F_te = F_te[rng.choice(F_te.shape[0], size=size, replace=False)]
-    return F_tr, F_te
+    pooled = np.empty((2 * size, F_tr.shape[1]))
+    for F, half in ((F_tr, pooled[:size]), (F_te, pooled[size:])):
+        if F.shape[0] > size:
+            # indices in range, so "clip" takes them as they are, with no buffer
+            np.take(F, rng.choice(F.shape[0], size=size, replace=False), axis=0,
+                    out=half, mode="clip")
+        else:
+            half[...] = F
+    return pooled, size
 
 
 def mmd(F_tr, F_te, rng=None):
     """Square root of the unbiased quadratic-time MMD^2 with a Gaussian
     kernel; bandwidth is the median pairwise distance of the pooled
     subsample (median heuristic). Clamped at 0 before the root."""
-    X, Y = _paired_subsamples(F_tr, F_te, rng or Rng(0))
-    n = X.shape[0]
+    pooled, n = _pooled_subsamples(F_tr, F_te, rng or Rng(0))
     if n < 2:
         raise ValueError("mmd needs at least 2 rows per set")
 
-    pooled = np.concatenate([X, Y])
     # squared distances |a|^2 + |b|^2 - 2a.b from one Gram matrix, clipped at
-    # 0; mirroring the upper triangle makes them exactly symmetric
+    # 0, all in place; the Gram matrix is the one full-size array
     d2 = pooled @ pooled.T
+    del pooled
     sq = d2.diagonal().copy()
     d2 *= -2.0
-    d2 += np.add.outer(sq, sq)
-    d2 = np.triu(np.maximum(d2, 0.0, out=d2), 1)
-    d2 += d2.T
-    sigma = np.median(np.sqrt(d2[np.triu(np.ones(d2.shape, dtype=bool), k=1)]))
+    for start in range(0, 2 * n, _BLOCK):
+        d2[start : start + _BLOCK] += np.add.outer(sq[start : start + _BLOCK], sq)
+    np.maximum(d2, 0.0, out=d2)
+    # mirroring the upper triangle makes the distances exactly symmetric;
+    # the median is taken over the upper triangle's distances
+    upper = np.empty(n * (2 * n - 1))
+    start = 0
+    for i in range(2 * n):
+        d2[i, :i] = d2[:i, i]
+        upper[start : start + 2 * n - 1 - i] = d2[i, i + 1 :]
+        start += 2 * n - 1 - i
+    np.fill_diagonal(d2, 0.0)
+    sigma = np.median(np.sqrt(upper, out=upper), overwrite_input=True)
+    del upper
     if sigma <= 0.0:
         sigma = 1.0
 
     gamma = 1.0 / (2.0 * sigma**2)
-    kxx = np.exp(-gamma * d2[:n, :n])
-    kyy = np.exp(-gamma * d2[n:, n:])
-    kxy = np.exp(-gamma * d2[:n, n:])
+    d2 *= -gamma
+    k = np.exp(d2, out=d2)
+    kxx, kyy, kxy = k[:n, :n], k[n:, n:], k[:n, n:]
     # paired unbiased estimator: all i != j terms, diagonals excluded; the
-    # cross terms are added first, so swapping X and Y gives the same bits
-    off = ~np.eye(n, dtype=bool)
-    mmd2 = (kxx[off] + kyy[off] - (kxy[off] + kxy.T[off])).sum() / (n * (n - 1))
+    # cross terms are added first, so swapping X and Y gives the same bits.
+    # kyy's block, once added, holds the cross terms.
+    kxx += kyy
+    kxx -= np.add(kxy, kxy.T, out=kyy)
+    mmd2 = kxx[~np.eye(n, dtype=bool)].sum() / (n * (n - 1))
     return math.sqrt(max(0.0, mmd2))
 
 
 def emd(F_tr, F_te, rng=None):
     """1-Wasserstein distance between equal-size subsamples via exact
     min-cost matching, normalized by sqrt(feature dimension)."""
-    X, Y = _paired_subsamples(F_tr, F_te, rng or Rng(0))
-    cost = cdist(X, Y)
+    pooled, n = _pooled_subsamples(F_tr, F_te, rng or Rng(0))
+    cost = cdist(pooled[:n], pooled[n:])
     rows, cols = linear_sum_assignment(cost)
     total = cost[rows, cols].sum()
-    return float(total / X.shape[0] / math.sqrt(X.shape[1]))
+    return float(total / n / math.sqrt(pooled.shape[1]))
 
 
 def ni(ds):
@@ -86,7 +105,10 @@ def ni(ds):
     scaled by the pooled std and its Euclidean norm taken; NI averages
     over classes.
     """
-    sigma = np.maximum(ds.features.std(axis=0), 1e-12)
+    F = ds.features
+    # a block of columns at a time, so no temporary is the size of F
+    std = [F[:, start : start + _BLOCK].std(axis=0) for start in range(0, F.shape[1], _BLOCK)]
+    sigma = np.maximum(np.concatenate(std), 1e-12)
     tr = ds.envs == 0
     vals = []
     for cls in range(ds.n_classes):
@@ -94,7 +116,7 @@ def ni(ds):
         m_te = ~tr & (ds.labels == cls)
         if not m_tr.any() or not m_te.any():
             raise ValueError(f"class {cls} missing in one environment")
-        gap = (ds.features[m_tr].mean(axis=0) - ds.features[m_te].mean(axis=0)) / sigma
+        gap = (F[m_tr].mean(axis=0) - F[m_te].mean(axis=0)) / sigma
         vals.append(np.linalg.norm(gap))
     return float(np.mean(vals))
 
@@ -106,11 +128,12 @@ def compare_table(specs, mlp_cfg, est_cfg, base_seed):
     error over est_cfg.n_runs freshly generated datasets."""
     est_cfg.validate()
 
-    def run(spec, seed):
+    def run(task):
+        spec, seed = task
         rng = Rng(seed)
         ds = gen_colored(spec, rng)
-        tr = ds.envs == 0
-        F_tr, F_te = ds.features[tr], ds.features[~tr]
+        # gen_colored lays out env 0's rows first
+        F_tr, F_te = ds.features[: spec.n_per_env], ds.features[spec.n_per_env :]
         return (
             emd(F_tr, F_te, rng),
             mmd(F_tr, F_te, rng),
@@ -118,13 +141,17 @@ def compare_table(specs, mlp_cfg, est_cfg, base_seed):
             *_run(ds, mlp_cfg, est_cfg, seed + 1)[0],
         )
 
-    # the runs of one spec execute concurrently, the specs in sequence: two
-    # specs at once would hold two fresh datasets and two sets of mmd matrices
+    # every (spec, run) pair is one task of _map, so two run at once on two
+    # cores; a task holds one dataset and, at its peak, mmd's one distance
+    # matrix besides
+    n_runs = est_cfg.n_runs
+    tasks = [(spec, base_seed + 100000 * s_idx + 1000 * r)
+             for s_idx, spec in enumerate(specs) for r in range(n_runs)]
+    runs = _map(run, tasks)
     records = []
     for s_idx, spec in enumerate(specs):
-        seeds = [base_seed + 100000 * s_idx + 1000 * r for r in range(est_cfg.n_runs)]
-        runs = _map(lambda seed: run(spec, seed), seeds)
-        mean, stderr = _mean_stderr(np.asarray(runs, dtype=np.float64))
+        per_run = np.asarray(runs[s_idx * n_runs : (s_idx + 1) * n_runs], dtype=np.float64)
+        mean, stderr = _mean_stderr(per_run)
         record = {"rho_te": spec.rho_te, "blue": int(spec.mu_te > 0)}
         for name, m, se in zip(("emd", "mmd", "ni", "d_div", "d_cor"), mean, stderr):
             record[name] = float(m)

@@ -21,7 +21,7 @@ from . import baselines, benchscore
 from .data import ParseError, Rng, load_csv, save_csv
 from .datagen import ColoredSpec, gen_colored, gen_latent, irm_colored_default, latent_spec_a
 from .discriminator import MlpConfig
-from .estimator import EstimatorConfig, estimate_pipeline, sweep
+from .estimator import EstimatorConfig, _check_runs, estimate_pipeline, sweep
 
 
 class UserError(ValueError):
@@ -198,6 +198,7 @@ def cmd_estimate(args):
     config = _load_config(args.config)
     ds, meta = _build_dataset(args, config)
     mlp_cfg, est_cfg = _run_configs(config, args)
+    _check_runs(ds, est_cfg.n_runs, args.seed)
     out = _prepare_out(args)
     _echo_config(
         out, args,

@@ -84,16 +84,20 @@ def gen_colored(spec, rng):
 
     prototypes = rng.uniform(0.0, 1.0, (10, npix))
 
+    # env 0 fills the first n rows and env 1 the rest, written in place
+    n = spec.n_per_env
+    features = np.zeros((2 * n, 3 * npix))
+    labels = np.empty(2 * n, dtype=np.int64)
     env_params = [
-        (0, spec.rho_tr, spec.mu_tr, spec.sigma_tr),
-        (1, spec.rho_te, spec.mu_te, spec.sigma_te),
+        (spec.rho_tr, spec.mu_tr, spec.sigma_tr),
+        (spec.rho_te, spec.mu_te, spec.sigma_te),
     ]
-    features, labels, envs = [], [], []
-    for env, rho, mu, sigma in env_params:
-        n = spec.n_per_env
+    for env, (rho, mu, sigma) in enumerate(env_params):
+        rows = slice(env * n, (env + 1) * n)
         digits = rng.integers(0, 10, n)
-        base = prototypes[digits] + rng.normal(0.0, 0.1, (n, npix))
-        base = np.clip(base, 0.0, 1.0)
+        base = rng.normal(0.0, 0.1, (n, npix))
+        base += prototypes[digits]
+        np.clip(base, 0.0, 1.0, out=base)
         label = (digits >= 5).astype(np.int64)
         flip = rng.uniform(size=n) < spec.label_noise
         label = np.where(flip, 1 - label, label)
@@ -101,25 +105,13 @@ def gen_colored(spec, rng):
         color = np.where(disagree, 1 - label, label)  # 0 = red, 1 = green
 
         blue_intensity = _truncated_normal(mu, sigma, n, rng)
-        blue = base * blue_intensity[:, None]
-        active = np.maximum(0.0, base - blue)
+        blue = np.multiply(base, blue_intensity[:, None], out=features[rows, 2 * npix :])
+        active = np.maximum(0.0, np.subtract(base, blue, out=base), out=base)
+        np.copyto(features[rows, :npix], active, where=(color == 0)[:, None])
+        np.copyto(features[rows, npix : 2 * npix], active, where=(color == 1)[:, None])
+        labels[rows] = label
 
-        img = np.zeros((n, 3 * npix))
-        red_rows = color == 0
-        img[red_rows, :npix] = active[red_rows]
-        img[~red_rows, npix : 2 * npix] = active[~red_rows]
-        img[:, 2 * npix :] = blue
-
-        features.append(img)
-        labels.append(label)
-        envs.append(np.full(n, env, dtype=np.int64))
-
-    return LabeledDataset(
-        np.concatenate(features),
-        np.concatenate(labels),
-        np.concatenate(envs),
-        n_classes=2,
-    )
+    return LabeledDataset(features, labels, np.repeat([0, 1], n), n_classes=2)
 
 
 @dataclass(frozen=True)

@@ -190,6 +190,17 @@ def _cell_indices(labels, envs, n_classes):
     return cells
 
 
+def _split_cells(ds, rng):
+    """The split train draws first from rng: (training indices, validation
+    indices, training indices of each (env, class) cell). Raises ValueError
+    when an environment, the validation split or a cell is empty."""
+    if not np.isin((0, 1), ds.envs).all():
+        raise ValueError("dataset must contain both environments")
+    train_idx, val_idx = split_train_val(ds.n_rows, _TRAIN_FRAC, rng)
+    cells = _cell_indices(ds.labels[train_idx], ds.envs[train_idx], ds.n_classes)
+    return train_idx, val_idx, cells
+
+
 def _sample_batch(cells, n_classes, batch_per_env, rng):
     """Draw batch_per_env examples per environment, class-balanced within."""
     picked = []
@@ -211,21 +222,17 @@ def _accuracy(g_layers, h_layers, x, y_onehot, envs):
 def train(ds, cfg, rng):
     """Train the discriminator; returns the best validation checkpoint.
 
-    A 90/10 train/validation split is drawn first; every cfg.checkpoint_every
-    steps (and at the final step) validation environment accuracy is measured
-    and the best-scoring parameters are kept. Parameters, gradients, Adam's
-    state and each batch are float32; validation runs on the float64 features.
-    The input width and class count are the dataset's. Input columns that
-    are 0 in every row are left out: their first-layer weights would get a
-    zero gradient, so they keep their initial draws.
+    A 90/10 train/validation split is drawn first (_split_cells); every
+    cfg.checkpoint_every steps (and at the final step) validation environment
+    accuracy is measured and the best-scoring parameters are kept. Parameters,
+    gradients, Adam's state and each batch are float32; validation runs on the
+    float64 features. The input width and class count are the dataset's.
+    Input columns that are 0 in every row are left out: their first-layer
+    weights would get a zero gradient, so they keep their initial draws.
     """
     cfg.validate()
-    if not np.isin((0, 1), ds.envs).all():
-        raise ValueError("dataset must contain both environments")
-
-    train_idx, val_idx = split_train_val(ds.n_rows, _TRAIN_FRAC, rng)
+    train_idx, val_idx, cells = _split_cells(ds, rng)
     n_classes = ds.n_classes
-    cells = _cell_indices(ds.labels[train_idx], ds.envs[train_idx], n_classes)
     eye = np.eye(n_classes, dtype=np.float32)
     lit = ds.features.any(axis=0)
     cols = np.flatnonzero(lit)
@@ -273,7 +280,7 @@ def train(ds, cfg, rng):
 
 
 # rows per block of extract's forward pass
-_EXTRACT_BLOCK = 1024
+_EXTRACT_BLOCK = 256
 
 
 def extract(model, x):

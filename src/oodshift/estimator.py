@@ -28,7 +28,7 @@ import numpy as np
 
 from .data import Rng
 from .datagen import gen_colored
-from .discriminator import extract, train
+from .discriminator import _split_cells, extract, train
 
 # a point lies in the diversity region when min(p, q) < _EPS * w, and in the
 # correlation region otherwise; a ratio of densities, so it has no units
@@ -94,10 +94,7 @@ def estimate(F_tr, F_te, labels_tr, labels_te, cfg, rng):
         raise ValueError("features must be finite (no NaN or inf)")
     labels_tr = np.asarray(labels_tr, dtype=np.int64)
     labels_te = np.asarray(labels_te, dtype=np.int64)
-    classes = np.union1d(labels_tr, labels_te)
-    for cls in classes:
-        if (labels_tr == cls).sum() < 2 or (labels_te == cls).sum() < 2:
-            raise ValueError(f"class {cls} underpopulated in one environment")
+    classes = _classes(labels_tr, labels_te)
 
     n_tr, n_te = F_tr.shape[0], F_te.shape[0]
     n, m = n_tr + n_te, F_tr.shape[1]
@@ -163,6 +160,16 @@ def estimate(F_tr, F_te, labels_tr, labels_te, cfg, rng):
     frac_div = float(div.mean())
     diagnostics = {"frac_div_region": frac_div, "frac_cor_region": 1.0 - frac_div}
     return d_div, d_cor, diagnostics
+
+
+def _classes(labels_tr, labels_te):
+    """The classes of both environments; raises ValueError when one has
+    fewer than 2 rows in an environment."""
+    classes = np.union1d(labels_tr, labels_te)
+    for cls in classes:
+        if (labels_tr == cls).sum() < 2 or (labels_te == cls).sum() < 2:
+            raise ValueError(f"class {cls} underpopulated in one environment")
+    return classes
 
 
 def _folds(groups, rng):
@@ -275,6 +282,17 @@ def _run(ds, mlp_cfg, est_cfg, seed):
     tr = ds.envs == 0
     d_div, d_cor, diag = estimate(F[tr], F[~tr], ds.labels[tr], ds.labels[~tr], est_cfg, rng)
     return (d_div, d_cor), model.val_accuracy, diag
+
+
+def _check_runs(ds, n_runs, base_seed):
+    """Raise, without training, the ValueError that a run of
+    estimate_pipeline(ds, ..., base_seed) would raise for too few rows: an
+    empty validation split or (env, class) cell in its split, which is the
+    first draw of its train, or a class with under 2 rows in an environment."""
+    for i in range(n_runs):
+        _split_cells(ds, Rng(base_seed + i))
+    tr = ds.envs == 0
+    _classes(ds.labels[tr], ds.labels[~tr])
 
 
 def estimate_pipeline(ds, mlp_cfg, est_cfg, base_seed):

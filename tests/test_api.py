@@ -39,3 +39,21 @@ def test_no_unused_imports():
         read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         unused += [f"{path.name}: {name}" for name in sorted(imported - read)]
     assert not unused, unused
+
+
+def test_one_run_executor():
+    # estimator._map is the one way to execute runs: no other module imports
+    # ThreadPoolExecutor, or reaches it as an attribute
+    src = Path(oodshift.__file__).parent
+    users = []
+    for path in sorted(src.glob("*.py")):
+        nodes = list(ast.walk(ast.parse(path.read_text())))
+        names = {
+            alias.name.rsplit(".", 1)[-1]
+            for node in nodes if isinstance(node, (ast.Import, ast.ImportFrom))
+            for alias in node.names
+        }
+        names |= {node.attr for node in nodes if isinstance(node, ast.Attribute)}
+        if "ThreadPoolExecutor" in names:
+            users.append(path.name)
+    assert users == ["estimator.py"], users

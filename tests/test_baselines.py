@@ -2,13 +2,15 @@
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy.spatial.distance import cdist
 
 from oodshift import ColoredSpec, LabeledDataset, Rng, emd, gen_colored, mmd, ni
-from oodshift.baselines import compare_table
+from oodshift import estimator
+from oodshift.baselines import _N_SUB, compare_table
 from oodshift import EstimatorConfig, MlpConfig
 
 
@@ -94,11 +96,71 @@ def test_metric_input_validation():
             metric(np.array([0.0, 1.0]), np.array([1.0, 0.0]))
         with pytest.raises(ValueError, match="2-D"):
             metric(A, A[:, 0])
+        with pytest.raises(ValueError, match="same number of features"):
+            metric(A, np.zeros((5, 3)))
     # the unbiased MMD^2 divides by n (n - 1)
     with pytest.raises(ValueError, match="at least 2 rows"):
         mmd(np.zeros((1, 2)), np.ones((1, 2)))
     with pytest.raises(ValueError, match="at least 2 rows"):
         mmd(A, np.ones((1, 2)))
+
+
+def _reference_mmd(F_tr, F_te, rng):
+    # the plain form: subsample copies, a concatenate, a fresh distance
+    # matrix per step, an upper-triangle mask and one kernel block per pair
+    X, Y = np.asarray(F_tr, dtype=np.float64), np.asarray(F_te, dtype=np.float64)
+    size = min(_N_SUB, X.shape[0], Y.shape[0])
+    if X.shape[0] > size:
+        X = X[rng.choice(X.shape[0], size=size, replace=False)]
+    if Y.shape[0] > size:
+        Y = Y[rng.choice(Y.shape[0], size=size, replace=False)]
+    n = size
+    pooled = np.concatenate([X, Y])
+    d2 = pooled @ pooled.T
+    sq = d2.diagonal().copy()
+    d2 *= -2.0
+    d2 += np.add.outer(sq, sq)
+    d2 = np.triu(np.maximum(d2, 0.0, out=d2), 1)
+    d2 += d2.T
+    sigma = np.median(np.sqrt(d2[np.triu(np.ones(d2.shape, dtype=bool), k=1)]))
+    if sigma <= 0.0:
+        sigma = 1.0
+    gamma = 1.0 / (2.0 * sigma**2)
+    kxx = np.exp(-gamma * d2[:n, :n])
+    kyy = np.exp(-gamma * d2[n:, n:])
+    kxy = np.exp(-gamma * d2[:n, n:])
+    off = ~np.eye(n, dtype=bool)
+    mmd2 = (kxx[off] + kyy[off] - (kxy[off] + kxy.T[off])).sum() / (n * (n - 1))
+    return math.sqrt(max(0.0, mmd2))
+
+
+@pytest.mark.parametrize("case", ["small", "subsampled", "one_feature", "duplicates"])
+def test_mmd_matches_reference_bit_for_bit(case):
+    r = Rng(11)
+    if case == "small":  # n < _N_SUB: both sets kept whole
+        A, B = r.normal(size=(60, 5)), r.normal(0.4, 1.0, (45, 5))
+    elif case == "subsampled":  # n > _N_SUB in both sets
+        A, B = r.normal(size=(700, 30)), r.normal(0.2, 1.0, (600, 30))
+    elif case == "one_feature":
+        A, B = r.normal(size=(600, 1)), r.normal(0.5, 1.0, (80, 1))
+    else:  # repeated rows: zero distances, clipped round-off
+        base = r.normal(size=(15, 4))
+        A, B = np.repeat(base, 4, axis=0), np.tile(base[:6], (9, 1))
+    for seed in range(3):
+        assert mmd(A, B, Rng(seed)) == _reference_mmd(A, B, Rng(seed))
+
+
+def test_mmd_peak_memory_within_two_distance_matrices():
+    # two (800, 588) sets: a 1024 x 1024 float64 distance matrix is 8 MiB
+    r = Rng(12)
+    A, B = r.uniform(size=(800, 588)), r.uniform(size=(800, 588))
+    tracemalloc.start()
+    try:
+        mmd(A, B, Rng(0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * (2 * _N_SUB) ** 2 * 8
 
 
 # ---------------------------------------------------------------------------
@@ -164,3 +226,20 @@ def test_compare_table_rows_and_averaging():
         emds.append(emd(ds.features[ds.envs == 0], ds.features[ds.envs == 1], rng))
     assert rows[0]["emd"] == np.mean(emds)
     assert rows[0]["emd_stderr"] == np.std(emds, ddof=1) / math.sqrt(2)
+
+
+def test_compare_table_same_at_any_worker_count(monkeypatch):
+    # one run per spec, so the pool gets one task per spec; each task runs on
+    # one BLAS thread, so the worker count changes no bit of any record
+    specs = [
+        ColoredSpec(rho_tr=0.1, rho_te=rho, n_per_env=50, image_side=4)
+        for rho in (0.9, 0.5, 0.1)
+    ]
+    mlp = MlpConfig(hidden_dims=(8,), iters=30, checkpoint_every=10)
+    est = EstimatorConfig(n_runs=1, n_mc_samples=200)
+    records = {}
+    for workers in (1, 2):
+        monkeypatch.setattr(estimator, "_n_workers", lambda n, w=workers: min(n, w))
+        records[workers] = compare_table(specs, mlp, est, base_seed=70)
+    assert records[1] == records[2]
+    assert [r["rho_te"] for r in records[1]] == [0.9, 0.5, 0.1]

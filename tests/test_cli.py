@@ -329,7 +329,38 @@ def test_empty_validation_split_exit_2(tmp_path, capsys):
                "--mc-samples", "50", "--out", str(tmp_path / "out")])
     assert rc == 2
     assert "validation split is empty" in capsys.readouterr().err
-    assert not (tmp_path / "out" / "result.json").exists()
+    # the runs' splits are checked before --out is created
+    assert not (tmp_path / "out").exists()
+
+
+def test_missing_cell_exit_2_before_out(tmp_path, capsys):
+    # 5 rows per environment: run 0's training split lacks (env 0, class 1)
+    rc = main(["estimate", "--preset", "iid", "--n-per-env", "5", "--iters", "5",
+               "--runs", "1", "--out", str(tmp_path / "out")])
+    assert rc == 2
+    assert "missing (env=0, class=1) cell" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("n_rare, seed, runs, message", [
+    # two (env 1, class 1) rows: run 0's split (seed 96) keeps one in
+    # training, run 1's (seed 97) puts both in validation
+    (2, 96, 2, "missing (env=1, class=1) cell"),
+    # one such row, which run 0's split keeps in training; the estimator
+    # needs 2 rows of each class in each environment
+    (1, 0, 1, "class 1 underpopulated in one environment"),
+])
+def test_data_size_error_of_any_run_exit_2_before_out(tmp_path, capsys, n_rare, seed, runs,
+                                                      message):
+    labels = [0, 1] * 5 + [0] * (10 - n_rare) + [1] * n_rare
+    rows = ["env,label,x0"] + [f"{i // 10},{y},{i * 0.5}" for i, y in enumerate(labels)]
+    data = tmp_path / "rare.csv"
+    data.write_text("\n".join(rows) + "\n")
+    rc = main(["estimate", "--data", str(data), "--seed", str(seed), "--runs", str(runs),
+               "--iters", "5", "--mc-samples", "50", "--out", str(tmp_path / "out")])
+    assert rc == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("command", ["estimate", "compare", "sweep"])

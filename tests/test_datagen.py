@@ -115,6 +115,57 @@ def test_colored_deterministic():
     assert np.array_equal(a.labels, b.labels)
 
 
+def _reference_gen_colored(spec, rng):
+    # the plain form: one image matrix per environment, then a concatenate
+    npix = spec.image_side**2
+    prototypes = rng.uniform(0.0, 1.0, (10, npix))
+    features, labels, envs = [], [], []
+    for env, rho, mu, sigma in [
+        (0, spec.rho_tr, spec.mu_tr, spec.sigma_tr),
+        (1, spec.rho_te, spec.mu_te, spec.sigma_te),
+    ]:
+        n = spec.n_per_env
+        digits = rng.integers(0, 10, n)
+        base = np.clip(prototypes[digits] + rng.normal(0.0, 0.1, (n, npix)), 0.0, 1.0)
+        label = (digits >= 5).astype(np.int64)
+        label = np.where(rng.uniform(size=n) < spec.label_noise, 1 - label, label)
+        color = np.where(rng.uniform(size=n) < rho, 1 - label, label)
+        if sigma == 0.0:
+            b = np.full(n, float(mu))
+        else:
+            b, todo = np.empty(n), np.arange(n)
+            while todo.size:
+                draw = rng.normal(mu, sigma, todo.size)
+                ok = (draw >= 0.0) & (draw <= 1.0)
+                b[todo[ok]] = draw[ok]
+                todo = todo[~ok]
+        blue = base * b[:, None]
+        active = np.maximum(0.0, base - blue)
+        img = np.zeros((n, 3 * npix))
+        red = color == 0
+        img[red, :npix] = active[red]
+        img[~red, npix : 2 * npix] = active[~red]
+        img[:, 2 * npix :] = blue
+        features.append(img)
+        labels.append(label)
+        envs.append(np.full(n, env))
+    return np.concatenate(features), np.concatenate(labels), np.concatenate(envs)
+
+
+@pytest.mark.parametrize("spec", [
+    irm_colored_default(300),
+    ColoredSpec(rho_tr=0.1, rho_te=0.1, mu_te=1.0, sigma_tr=0.1, sigma_te=0.1, n_per_env=200),
+    ColoredSpec(mu_tr=0.3, mu_te=0.6, sigma_tr=0.5, sigma_te=0.2, n_per_env=41, image_side=5),
+])
+def test_colored_matches_reference_bit_for_bit(spec):
+    for seed in range(3):
+        ds = gen_colored(spec, Rng(seed))
+        features, labels, envs = _reference_gen_colored(spec, Rng(seed))
+        assert np.array_equal(ds.features, features)
+        assert np.array_equal(np.signbit(ds.features), np.signbit(features))
+        assert np.array_equal(ds.labels, labels) and np.array_equal(ds.envs, envs)
+
+
 # ---------------------------------------------------------------------------
 # LatentSpec
 
