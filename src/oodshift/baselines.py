@@ -121,16 +121,26 @@ def ni(ds):
     return float(np.mean(vals))
 
 
+def _compare_tasks(specs, n_runs, base_seed):
+    """Run r of spec s draws its dataset from seed base_seed + 100000*s +
+    1000*r and runs the pipeline from that seed + 1."""
+    return [((spec, seed), seed + 1)
+            for s, spec in enumerate(specs) for r in range(n_runs)
+            for seed in (base_seed + 100000 * s + 1000 * r,)]
+
+
 def compare_table(specs, mlp_cfg, est_cfg, base_seed):
     """One record per spec, keyed by the compare.csv columns: rho_te, the
     blue flag, then each baseline metric (EMD and MMD on subsamples of up
     to _N_SUB rows per environment) and each shift with its standard
-    error over est_cfg.n_runs freshly generated datasets."""
+    error over est_cfg.n_runs freshly generated datasets. Every (spec, run)
+    pair is one task of _map; a task holds one dataset and, at its peak,
+    mmd's one distance matrix besides."""
     est_cfg.validate()
 
     def run(task):
-        spec, seed = task
-        rng = Rng(seed)
+        (spec, data_seed), seed = task
+        rng = Rng(data_seed)
         ds = gen_colored(spec, rng)
         # gen_colored lays out env 0's rows first
         F_tr, F_te = ds.features[: spec.n_per_env], ds.features[spec.n_per_env :]
@@ -138,20 +148,12 @@ def compare_table(specs, mlp_cfg, est_cfg, base_seed):
             emd(F_tr, F_te, rng),
             mmd(F_tr, F_te, rng),
             ni(ds),
-            *_run(ds, mlp_cfg, est_cfg, seed + 1)[0],
+            *_run(ds, mlp_cfg, est_cfg, seed)[0],
         )
 
-    # every (spec, run) pair is one task of _map, so two run at once on two
-    # cores; a task holds one dataset and, at its peak, mmd's one distance
-    # matrix besides
-    n_runs = est_cfg.n_runs
-    tasks = [(spec, base_seed + 100000 * s_idx + 1000 * r)
-             for s_idx, spec in enumerate(specs) for r in range(n_runs)]
-    runs = _map(run, tasks)
+    runs = _map(run, _compare_tasks(specs, est_cfg.n_runs, base_seed))
     records = []
-    for s_idx, spec in enumerate(specs):
-        per_run = np.asarray(runs[s_idx * n_runs : (s_idx + 1) * n_runs], dtype=np.float64)
-        mean, stderr = _mean_stderr(per_run)
+    for spec, (mean, stderr) in zip(specs, _mean_stderr(runs, est_cfg.n_runs)):
         record = {"rho_te": spec.rho_te, "blue": int(spec.mu_te > 0)}
         for name, m, se in zip(("emd", "mmd", "ni", "d_div", "d_cor"), mean, stderr):
             record[name] = float(m)

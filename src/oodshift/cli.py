@@ -21,7 +21,8 @@ from . import baselines, benchscore
 from .data import ParseError, Rng, load_csv, save_csv
 from .datagen import ColoredSpec, gen_colored, gen_latent, irm_colored_default, latent_spec_a
 from .discriminator import MlpConfig
-from .estimator import EstimatorConfig, _check_runs, estimate_pipeline, sweep
+from .estimator import (
+    EstimatorConfig, _check_tasks, _pipeline_tasks, _sweep_tasks, estimate_pipeline, sweep)
 
 
 class UserError(ValueError):
@@ -126,23 +127,16 @@ def _run_configs(config, args, est_base=EstimatorConfig()):
     return mlp_cfg, est_cfg
 
 
-def _prepare_out(args):
-    """The output directory, created; every command calls this only after its
-    inputs are checked, so bad input leaves no directory behind."""
+def _prepare_out(args, extra):
+    """The output directory, created, with the effective config echoed into
+    its config.json; every command calls this only after its inputs are
+    checked, so bad input leaves no directory behind."""
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    return out
-
-
-def _echo_config(out, args, extra):
-    doc = {
-        "command": args.command,
-        "seed": args.seed,
-        "preset": getattr(args, "preset", None),
-        "config_file": args.config,
-        **extra,
-    }
+    doc = {"command": args.command, "seed": args.seed, "preset": getattr(args, "preset", None),
+           "config_file": args.config, **extra}
     (out / "config.json").write_text(json.dumps(doc, indent=2, sort_keys=True, default=str))
+    return out
 
 
 def _log(out, message):
@@ -184,12 +178,11 @@ def _build_dataset(args, config):
 def cmd_generate(args):
     config = _load_config(args.config)
     ds, meta = _build_dataset(args, config)
-    out = _prepare_out(args)
+    out = _prepare_out(args, meta)
     save_csv(ds, out / "data.csv")
     (out / "spec.json").write_text(
         json.dumps({"seed": args.seed, **meta}, indent=2, sort_keys=True)
     )
-    _echo_config(out, args, meta)
     _log(out, f"generate: wrote {ds.n_rows} rows to {out / 'data.csv'}")
     return 0
 
@@ -198,12 +191,10 @@ def cmd_estimate(args):
     config = _load_config(args.config)
     ds, meta = _build_dataset(args, config)
     mlp_cfg, est_cfg = _run_configs(config, args)
-    _check_runs(ds, est_cfg.n_runs, args.seed)
-    out = _prepare_out(args)
-    _echo_config(
-        out, args,
-        {**meta, "mlp": dataclasses.asdict(mlp_cfg), "estimator": dataclasses.asdict(est_cfg)},
-    )
+    _check_tasks(_pipeline_tasks(ds, est_cfg.n_runs, args.seed))
+    out = _prepare_out(args, {
+        **meta, "mlp": dataclasses.asdict(mlp_cfg), "estimator": dataclasses.asdict(est_cfg),
+    })
     t0 = time.time()
     result = estimate_pipeline(ds, mlp_cfg, est_cfg, args.seed)
     _log(out, f"estimate: finished in {time.time() - t0:.1f}s")
@@ -224,10 +215,7 @@ def cmd_sweep(args):
     if not isinstance(spec, ColoredSpec):
         raise UserError("sweep requires a colored-digit spec")
     spec.validate()
-    axis1, axis2 = {
-        "rho": ("rho_tr", "rho_te"),
-        "mu": ("mu_tr", "mu_te"),
-    }[args.axes]
+    axis1, axis2 = {"rho": ("rho_tr", "rho_te"), "mu": ("mu_tr", "mu_te")}[args.axes]
     try:
         values = [float(v) for v in args.grid]
     except ValueError:
@@ -236,8 +224,8 @@ def cmd_sweep(args):
         if not 0.0 <= v <= 1.0:
             raise UserError(f"--grid value out of [0, 1]: {v}")
     mlp_cfg, est_cfg = _run_configs(config, args, EstimatorConfig(n_runs=1))
-    out = _prepare_out(args)
-    _echo_config(out, args, {
+    _check_tasks(_sweep_tasks(spec, axis1, values, axis2, values, est_cfg.n_runs, args.seed))
+    out = _prepare_out(args, {
         "spec": _spec_doc(spec), "axes": args.axes, "grid": values,
         "mlp": dataclasses.asdict(mlp_cfg), "estimator": dataclasses.asdict(est_cfg),
     })
@@ -256,10 +244,9 @@ def cmd_compare(args):
     irm = _merged(config, "spec", irm_colored_default(), n_per_env=args.n_per_env)
     specs = [dataclasses.replace(irm, rho_te=r) for r in (0.9, 0.7, 0.5, 0.3, 0.1)]
     specs.append(dataclasses.replace(_preset(["cmnist-blue"]), n_per_env=irm.n_per_env))
-    irm.validate()  # n_per_env is the one field the blue spec takes from irm
     mlp_cfg, est_cfg = _run_configs(config, args)
-    out = _prepare_out(args)
-    _echo_config(out, args, {
+    _check_tasks(baselines._compare_tasks(specs, est_cfg.n_runs, args.seed))
+    out = _prepare_out(args, {
         "n_per_env": irm.n_per_env,
         "mlp": dataclasses.asdict(mlp_cfg), "estimator": dataclasses.asdict(est_cfg),
     })

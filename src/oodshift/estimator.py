@@ -10,8 +10,11 @@ is a small fraction of the mixture density counts towards diversity, any
 other point towards correlation, where the two folds' conditional gaps are
 cross-fitted so that a zero gap reads 0 on average.
 
-The independent runs of a pipeline, a sweep or a comparison go through one
-executor, `_map`, which runs them concurrently, each on one BLAS thread.
+`estimate_pipeline`, `sweep` and `baselines.compare_table` each build one
+flat list of (source, seed) tasks: a dataset, or the (spec, data_seed) pair
+that draws it, and the seed of one run. `_check_tasks` checks such a list
+without training; one call of the executor `_map` runs it, each task on one
+BLAS thread, and the results are grouped n_runs at a time.
 """
 
 import ctypes
@@ -21,7 +24,7 @@ import threading
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
-from functools import cache, partial
+from functools import cache
 from pathlib import Path
 
 import numpy as np
@@ -183,29 +186,15 @@ def _folds(groups, rng):
     return fold
 
 
-def _mean_stderr(arr):
-    """Column means and ddof=1 standard errors of the mean over the rows
-    (runs) of a 2-D array; the standard error of a single run is 0."""
-    n = arr.shape[0]
-    if n > 1:
-        stderr = arr.std(axis=0, ddof=1) / math.sqrt(n)
-    else:
-        stderr = np.zeros(arr.shape[1])
-    return arr.mean(axis=0), stderr
-
-
-def _aggregate(per_run, diagnostics):
-    arr = np.asarray(per_run, dtype=np.float64)
-    mean, stderr = _mean_stderr(arr)
-    return ShiftEstimate(
-        d_div=float(mean[0]),
-        d_cor=float(mean[1]),
-        per_run=[(float(a), float(b)) for a, b in arr],
-        stderr_div=float(stderr[0]),
-        stderr_cor=float(stderr[1]),
-        over_one_flag=bool((arr > 1.0).any()),
-        diagnostics=diagnostics,
-    )
+def _mean_stderr(rows, n_runs):
+    """(column means, ddof=1 standard errors of the mean) of each consecutive
+    group of n_runs rows (runs), in order; the standard error of a single
+    run is 0."""
+    arr = np.asarray(rows, dtype=np.float64)
+    groups = [arr[start : start + n_runs] for start in range(0, len(arr), n_runs)]
+    if n_runs == 1:
+        return [(g.mean(axis=0), np.zeros(arr.shape[1])) for g in groups]
+    return [(g.mean(axis=0), g.std(axis=0, ddof=1) / math.sqrt(n_runs)) for g in groups]
 
 
 @cache
@@ -244,32 +233,28 @@ def _n_workers(n_items):
     return min(n_items, len(os.sched_getaffinity(0)))
 
 
-_in_task = threading.local()
 # the BLAS thread count is process-wide, so calls from different threads of
-# the caller take turns; a nested call in the holding thread re-enters
-_map_lock = threading.RLock()
-
-
-def _task(fn, item):
-    _in_task.active = True
-    return fn(item)
+# the caller take turns
+_map_lock = threading.Lock()
 
 
 def _map(fn, items):
     """[fn(item) for item in items], run on a thread pool of one thread per
     core, each task on one BLAS thread, so the results do not depend on the
-    core count. A _map called from inside a task runs inline; without the
-    BLAS library it runs inline too."""
-    items = list(items)
-    if getattr(_in_task, "active", False):
-        return [fn(item) for item in items]
+    core count; without the BLAS library it runs inline. A task must not call
+    _map: the call would wait for the lock its caller holds."""
     with _map_lock, _one_blas_thread() as capped:
         workers = _n_workers(len(items)) if capped else 1
         if workers <= 1:
             return [fn(item) for item in items]
         # on the first task that raises, map cancels the tasks not yet started
         with ThreadPoolExecutor(workers) as pool:
-            return list(pool.map(partial(_task, fn), items))
+            return list(pool.map(fn, items))
+
+
+def _dataset(source):
+    """A task's dataset: a LabeledDataset as given, or gen_colored's draw for (spec, data_seed)."""
+    return gen_colored(source[0], Rng(source[1])) if isinstance(source, tuple) else source
 
 
 def _run(ds, mlp_cfg, est_cfg, seed):
@@ -284,52 +269,77 @@ def _run(ds, mlp_cfg, est_cfg, seed):
     return (d_div, d_cor), model.val_accuracy, diag
 
 
-def _check_runs(ds, n_runs, base_seed):
-    """Raise, without training, the ValueError that a run of
-    estimate_pipeline(ds, ..., base_seed) would raise for too few rows: an
-    empty validation split or (env, class) cell in its split, which is the
-    first draw of its train, or a class with under 2 rows in an environment."""
-    for i in range(n_runs):
-        _split_cells(ds, Rng(base_seed + i))
-    tr = ds.envs == 0
-    _classes(ds.labels[tr], ds.labels[~tr])
+def _check_tasks(tasks):
+    """Raise, without training, the ValueError that a (source, seed) task
+    would raise for too few rows: an empty validation split or (env, class)
+    cell in the split that Rng(seed) draws first, or a class with under 2
+    rows in an environment. One dataset is held at a time."""
+
+    def check():
+        for source, seed in tasks:
+            ds = _dataset(source)
+            _split_cells(ds, Rng(seed))
+            _classes(ds.labels[ds.envs == 0], ds.labels[ds.envs != 0])
+            del ds
+
+    # run on a thread of its own, whose malloc arena the runs' threads reuse;
+    # on the calling thread, the freed datasets added 10 MiB to compare's peak RSS
+    with ThreadPoolExecutor(1) as pool:
+        pool.submit(check).result()
+
+
+def _pipeline_tasks(ds, n_runs, base_seed):
+    """Run i of estimate_pipeline runs from seed base_seed + i."""
+    return [(ds, base_seed + i) for i in range(n_runs)]
+
+
+def _sweep_tasks(base_spec, axis1, values1, axis2, values2, n_runs, base_seed):
+    """Cell i (row-major) draws its dataset from seed base_seed + 10000*i,
+    and its run r runs from that seed + 1 + r."""
+    specs = [replace(base_spec, **{axis1: float(a), axis2: float(b)})
+             for a in values1 for b in values2]
+    return [((spec, base_seed + 10000 * i), base_seed + 10000 * i + 1 + r)
+            for i, spec in enumerate(specs) for r in range(n_runs)]
 
 
 def estimate_pipeline(ds, mlp_cfg, est_cfg, base_seed):
     """Full pipeline: run i trains, extracts and estimates from seed
     base_seed + i; aggregate mean and standard error over runs."""
     est_cfg.validate()
-    runs = _map(lambda i: _run(ds, mlp_cfg, est_cfg, base_seed + i), range(est_cfg.n_runs))
+    runs = _map(lambda task: _run(_dataset(task[0]), mlp_cfg, est_cfg, task[1]),
+                _pipeline_tasks(ds, est_cfg.n_runs, base_seed))
     per_run, val_accs, run_diags = zip(*runs)
-    diagnostics = {
-        "val_accuracy_per_run": list(val_accs),
-        "frac_div_region_per_run": [d["frac_div_region"] for d in run_diags],
-        "frac_cor_region_per_run": [d["frac_cor_region"] for d in run_diags],
-    }
-    return _aggregate(per_run, diagnostics)
+    [(mean, stderr)] = _mean_stderr(per_run, est_cfg.n_runs)
+    return ShiftEstimate(
+        d_div=float(mean[0]),
+        d_cor=float(mean[1]),
+        per_run=[(float(a), float(b)) for a, b in per_run],
+        stderr_div=float(stderr[0]),
+        stderr_cor=float(stderr[1]),
+        over_one_flag=bool((np.asarray(per_run) > 1.0).any()),
+        diagnostics={
+            "val_accuracy_per_run": list(val_accs),
+            "frac_div_region_per_run": [d["frac_div_region"] for d in run_diags],
+            "frac_cor_region_per_run": [d["frac_cor_region"] for d in run_diags],
+        },
+    )
 
 
 def sweep(base_spec, axis1, values1, axis2, values2, mlp_cfg, est_cfg, base_seed):
     """Grid of pipeline estimates over two ColoredSpec fields.
 
     Cell i (row-major) generates its dataset from seed base_seed + 10000*i
-    and runs the pipeline from that seed + 1. Returns one dict per cell.
+    and runs its run r from that seed + 1 + r. Every (cell, run) pair is one
+    task of _map. Returns one dict per cell.
     """
-    cells = [(float(a), float(b)) for a in values1 for b in values2]
-
-    def cell(i):
-        v1, v2 = cells[i]
-        spec = replace(base_spec, **{axis1: v1, axis2: v2})
-        cell_seed = base_seed + 10000 * i
-        ds = gen_colored(spec, Rng(cell_seed))
-        result = estimate_pipeline(ds, mlp_cfg, est_cfg, cell_seed + 1)
-        return {
-            axis1: v1,
-            axis2: v2,
-            "d_div": result.d_div,
-            "d_cor": result.d_cor,
-            "stderr_div": result.stderr_div,
-            "stderr_cor": result.stderr_cor,
-        }
-
-    return _map(cell, range(len(cells)))
+    est_cfg.validate()
+    n_runs = est_cfg.n_runs
+    tasks = _sweep_tasks(base_spec, axis1, values1, axis2, values2, n_runs, base_seed)
+    runs = _map(lambda task: _run(_dataset(task[0]), mlp_cfg, est_cfg, task[1]), tasks)
+    return [
+        {axis1: getattr(spec, axis1), axis2: getattr(spec, axis2),
+         "d_div": float(mean[0]), "d_cor": float(mean[1]),
+         "stderr_div": float(stderr[0]), "stderr_cor": float(stderr[1])}
+        for ((spec, _), _), (mean, stderr)
+        in zip(tasks[::n_runs], _mean_stderr([run[0] for run in runs], n_runs))
+    ]

@@ -57,3 +57,49 @@ def test_one_run_executor():
         if "ThreadPoolExecutor" in names:
             users.append(path.name)
     assert users == ["estimator.py"], users
+
+
+def _references(tree, names):
+    """(innermost enclosing def or lambda, or None at module level, name) for
+    each use of one of names, as a bare name or an attribute."""
+    found = []
+
+    def visit(node, scope):
+        if isinstance(node, (ast.Name, ast.Attribute)):
+            name = node.id if isinstance(node, ast.Name) else node.attr
+            if name in names:
+                found.append((scope, name))
+        inner = node if isinstance(node, (ast.FunctionDef, ast.Lambda)) else scope
+        for child in ast.iter_child_nodes(node):
+            visit(child, inner)
+
+    visit(tree, None)
+    return found
+
+
+def test_run_executor_never_nests():
+    # a _map called from inside a task would wait for the lock its caller
+    # holds: only the three entry points call _map, in their own bodies, and
+    # only the cli commands call the entry points
+    entry = {"estimate_pipeline", "sweep", "compare_table"}
+    src = Path(oodshift.__file__).parent
+    bad, map_callers = [], set()
+    for path in sorted(src.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        top = {node for node in tree.body if isinstance(node, ast.FunctionDef)}
+        bad += [
+            f"{path.name}: imports {alias.name} as {alias.asname}"
+            for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+            for alias in node.names if alias.name in entry | {"_map"} and alias.asname
+        ]
+        for scope, name in _references(tree, entry | {"_map"}):
+            where = getattr(scope, "name", "<lambda>" if scope else "<module>")
+            if name == "_map" and scope in top and scope.name in entry:
+                map_callers.add(scope.name)
+            elif name in entry and path.name == "cli.py" and scope in top \
+                    and scope.name.startswith("cmd_"):
+                continue
+            else:
+                bad.append(f"{path.name}: {where} uses {name}")
+    assert not bad, bad
+    assert map_callers == entry

@@ -333,12 +333,24 @@ def test_empty_validation_split_exit_2(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
-def test_missing_cell_exit_2_before_out(tmp_path, capsys):
+@pytest.mark.parametrize("argv, message", [
     # 5 rows per environment: run 0's training split lacks (env 0, class 1)
-    rc = main(["estimate", "--preset", "iid", "--n-per-env", "5", "--iters", "5",
-               "--runs", "1", "--out", str(tmp_path / "out")])
+    (["estimate", "--preset", "iid", "--n-per-env", "5", "--iters", "5", "--runs", "1"],
+     "missing (env=0, class=1) cell"),
+    # every command checks the datasets it generates itself before --out
+    (["compare", "--n-per-env", "5", "--iters", "5", "--runs", "1", "--mc-samples", "50"],
+     "missing (env=0, class=1) cell"),
+    (["sweep", "--preset", "iid", "--n-per-env", "5", "--iters", "5", "--grid", "0.2"],
+     "missing (env=0, class=1) cell"),
+    # 10 rows per environment: cells 0 to 2 pass, and only the last of the 4
+    # cells has a class with under 2 rows in an environment
+    (["sweep", "--preset", "iid", "--n-per-env", "10", "--iters", "5", "--seed", "6",
+      "--grid", "0.2", "0.8"], "class 0 underpopulated in one environment"),
+], ids=["estimate", "compare", "sweep", "sweep-last-cell"])
+def test_missing_cell_exit_2_before_out(tmp_path, capsys, argv, message):
+    rc = main([*argv, "--out", str(tmp_path / "out")])
     assert rc == 2
-    assert "missing (env=0, class=1) cell" in capsys.readouterr().err
+    assert message in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 
