@@ -16,6 +16,8 @@ from .data import split_train_val
 
 # the share of rows train fits on; the rest is its validation split
 _TRAIN_FRAC = 0.9
+# train stops after this many checkpoints in a row bring no gain
+_PATIENCE = 3
 
 
 @dataclass(frozen=True)
@@ -24,7 +26,7 @@ class MlpConfig:
     feature_dim: int = 8
     cls_hidden_dim: int = 64  # 0 = linear head
     lr: float = 0.0003
-    iters: int = 2000
+    iters: int = 2000  # at most this many steps; train may stop earlier
     batch_per_env: int = 32
     checkpoint_every: int = 100
 
@@ -223,8 +225,11 @@ def train(ds, cfg, rng):
     """Train the discriminator; returns the best validation checkpoint.
 
     A 90/10 train/validation split is drawn first (_split_cells); every
-    cfg.checkpoint_every steps (and at the final step) validation environment
-    accuracy is measured and the best-scoring parameters are kept. Parameters,
+    cfg.checkpoint_every steps (and at step cfg.iters) validation environment
+    accuracy is measured and the parameters of the first best-scoring
+    checkpoint are kept. Training stops at a checkpoint once the best accuracy
+    is 1.0, which no later checkpoint can beat, or once _PATIENCE checkpoints
+    in a row have brought no gain; cfg.iters is a cap. Parameters,
     gradients, Adam's state and each batch are float32; validation runs on the
     float64 features. The input width and class count are the dataset's.
     Input columns that are 0 in every row are left out: their first-layer
@@ -249,7 +254,7 @@ def train(ds, cfg, rng):
     grads, g_grads, h_grads = _flat_layers(cfg, cols.size, n_classes, np.float32)
     opt = _Adam(params, grads, cfg.lr)
 
-    best_acc = -1.0
+    best_acc, best_t = -1.0, 0
     best_params = None
     loss_curve = []
     for t in range(1, cfg.iters + 1):
@@ -266,8 +271,10 @@ def train(ds, cfg, rng):
         if t % cfg.checkpoint_every == 0 or t == cfg.iters:
             acc = _accuracy(g_layers, h_layers, x_val, y_val, e_val)
             if acc > best_acc:
-                best_acc = acc
+                best_acc, best_t = acc, t
                 best_params = params.copy()
+            if best_acc == 1.0 or t - best_t >= _PATIENCE * cfg.checkpoint_every:
+                break
 
     full[keep] = best_params
 

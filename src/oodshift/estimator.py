@@ -258,14 +258,16 @@ def _dataset(source):
 
 
 def _run(ds, mlp_cfg, est_cfg, seed):
-    """One pipeline run: train the discriminator, extract features and run
-    the estimator, all from Rng(seed). Returns ((d_div, d_cor),
-    validation accuracy, estimator diagnostics)."""
+    """One pipeline run: train the discriminator from Rng(seed), extract
+    features and run the estimator from Rng(seed).spawn(1)[0], a stream of
+    its own, so that its draws do not depend on how long training ran.
+    Returns ((d_div, d_cor), validation accuracy, estimator diagnostics)."""
     rng = Rng(seed)
+    est_rng = rng.spawn(1)[0]
     model = train(ds, mlp_cfg, rng)
     F = extract(model, ds.features)
     tr = ds.envs == 0
-    d_div, d_cor, diag = estimate(F[tr], F[~tr], ds.labels[tr], ds.labels[~tr], est_cfg, rng)
+    d_div, d_cor, diag = estimate(F[tr], F[~tr], ds.labels[tr], ds.labels[~tr], est_cfg, est_rng)
     return (d_div, d_cor), model.val_accuracy, diag
 
 
@@ -273,14 +275,17 @@ def _check_tasks(tasks):
     """Raise, without training, the ValueError that a (source, seed) task
     would raise for too few rows: an empty validation split or (env, class)
     cell in the split that Rng(seed) draws first, or a class with under 2
-    rows in an environment. One dataset is held at a time."""
+    rows in an environment. Consecutive tasks that share one source object
+    share one dataset, made once; one dataset is held at a time."""
 
     def check():
-        for source, seed in tasks:
-            ds = _dataset(source)
+        source = ds = None
+        for task_source, seed in tasks:
+            if task_source is not source:
+                source, ds = task_source, None
+                ds = _dataset(source)
             _split_cells(ds, Rng(seed))
             _classes(ds.labels[ds.envs == 0], ds.labels[ds.envs != 0])
-            del ds
 
     # run on a thread of its own, whose malloc arena the runs' threads reuse;
     # on the calling thread, the freed datasets added 10 MiB to compare's peak RSS
@@ -295,11 +300,12 @@ def _pipeline_tasks(ds, n_runs, base_seed):
 
 def _sweep_tasks(base_spec, axis1, values1, axis2, values2, n_runs, base_seed):
     """Cell i (row-major) draws its dataset from seed base_seed + 10000*i,
-    and its run r runs from that seed + 1 + r."""
+    and its run r runs from that seed + 1 + r; a cell's runs share one
+    source object."""
     specs = [replace(base_spec, **{axis1: float(a), axis2: float(b)})
              for a in values1 for b in values2]
-    return [((spec, base_seed + 10000 * i), base_seed + 10000 * i + 1 + r)
-            for i, spec in enumerate(specs) for r in range(n_runs)]
+    sources = [(spec, base_seed + 10000 * i) for i, spec in enumerate(specs)]
+    return [(source, source[1] + 1 + r) for source in sources for r in range(n_runs)]
 
 
 def estimate_pipeline(ds, mlp_cfg, est_cfg, base_seed):

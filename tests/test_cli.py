@@ -10,6 +10,7 @@ import pytest
 
 from oodshift import ColoredSpec, EstimatorConfig, LatentSpec, MlpConfig, latent_spec_a, load_csv
 from oodshift.cli import _JSON_TYPES, build_parser, main
+from oodshift import estimator
 from oodshift.estimator import _openblas
 
 FAST_MLP = {"hidden_dims": [16], "iters": 100, "checkpoint_every": 50}
@@ -373,6 +374,23 @@ def test_data_size_error_of_any_run_exit_2_before_out(tmp_path, capsys, n_rare, 
     assert rc == 2
     assert message in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+def test_sweep_generates_each_cell_once_in_the_check(tmp_path, monkeypatch):
+    # 4 cells of 3 runs: the check makes each cell's dataset once, the tasks
+    # once per run
+    calls = []
+    real_gen = estimator.gen_colored
+
+    def counting_gen(*args):
+        calls.append(args)
+        return real_gen(*args)
+
+    monkeypatch.setattr(estimator, "gen_colored", counting_gen)
+    rc = main(["sweep", "--preset", "irm-cmnist", "--n-per-env", "150", "--iters", "60",
+               "--grid", "0.2", "0.8", "--runs", "3", "--out", str(tmp_path / "out")])
+    assert rc == 0
+    assert len(calls) == 4 + 12
 
 
 @pytest.mark.parametrize("command", ["estimate", "compare", "sweep"])

@@ -17,8 +17,10 @@ from oodshift import (
     split_train_val,
     train,
 )
+from oodshift import discriminator
 from oodshift.discriminator import (
     _EXTRACT_BLOCK,
+    _PATIENCE,
     _TRAIN_FRAC,
     ExtractorModel,
     _Adam,
@@ -67,6 +69,8 @@ def test_adam_float32_flushes_subnormal_m():
 # ---------------------------------------------------------------------------
 # reference training: per-array float32 parameters, Adam state and
 # gradients, with fresh arrays every step; train must reproduce it bit for bit.
+# It stops at a checkpoint once the best accuracy is 1.0 or once the last 3
+# checkpoints brought no gain.
 # With mask=True the first layer trains only the rows of input columns that
 # are nonzero in some row, as train does; mask=False trains every row
 
@@ -131,7 +135,7 @@ def _reference_train(ds, cfg, rng, mask=True):
     params = [p for layer in g_layers + h_layers for p in layer]
     opt = _ReferenceAdam(params, cfg.lr)
 
-    best_acc, best_params, loss_curve = -1.0, None, []
+    best_acc, best_t, best_params, loss_curve = -1.0, 0, None, []
     for t in range(1, cfg.iters + 1):
         idx = _sample_batch(cells, ds.n_classes, cfg.batch_per_env, rng)
         x, y, e = x_tr[idx], y_tr[idx], e_tr[idx]
@@ -144,18 +148,20 @@ def _reference_train(ds, cfg, rng, mask=True):
         if t % cfg.checkpoint_every == 0 or t == cfg.iters:
             acc = _accuracy(g_layers, h_layers, x_val, y_val, e_val)
             if acc > best_acc:
-                best_acc, best_params = acc, [p.copy() for p in params]
+                best_acc, best_t, best_params = acc, t, [p.copy() for p in params]
+            if best_acc == 1.0 or t - best_t >= 3 * cfg.checkpoint_every:
+                break
     for p, saved in zip(params, best_params):
         p[...] = saved
     g_full[0][0][lit] = g_layers[0][0]
     return g_full, h_layers, best_acc, loss_curve
 
 
-def _three_class_ds(n=600, dim=3, seed=30):
+def _three_class_ds(n=600, dim=3, seed=30, env_shift=0.5):
     r = Rng(seed)
     labels = r.integers(0, 3, n)
     envs = np.arange(n) % 2
-    features = r.normal(0.0, 1.0, (n, dim)) + labels[:, None] + 0.5 * envs[:, None]
+    features = r.normal(0.0, 1.0, (n, dim)) + labels[:, None] + env_shift * envs[:, None]
     return LabeledDataset(features, labels, envs, n_classes=3)
 
 
@@ -321,6 +327,48 @@ def test_train_disjoint_envs_accuracy_high():
     cfg = MlpConfig(**FAST)
     model = train(ds, cfg, Rng(5))
     assert model.val_accuracy >= 0.95
+
+
+def _train_logging_checkpoints(monkeypatch, ds, cfg, seed):
+    """train's model and the validation accuracy it read at each checkpoint."""
+    accs = []
+
+    def logged(*args):
+        accs.append(_accuracy(*args))
+        return accs[-1]
+
+    monkeypatch.setattr(discriminator, "_accuracy", logged)
+    return train(ds, cfg, Rng(seed)), accs
+
+
+def test_train_stops_at_first_exact_checkpoint(monkeypatch):
+    # no later checkpoint can beat 1.0, since only a strict gain is kept
+    spec = ColoredSpec(rho_tr=0.1, rho_te=0.1, mu_tr=0.0, mu_te=1.0,
+                       sigma_tr=0.01, sigma_te=0.01, n_per_env=500)
+    cfg = MlpConfig(**FAST)
+    model, accs = _train_logging_checkpoints(monkeypatch, gen_colored(spec, Rng(5)), cfg, 5)
+    assert accs == [1.0] and model.val_accuracy == 1.0
+    assert len(model.loss_curve) == cfg.checkpoint_every
+
+
+def test_train_stops_after_patience_checkpoints_without_gain(monkeypatch):
+    # a latent dataset has few distinct inputs, so its accuracy plateaus
+    cfg = MlpConfig(**FAST)
+    model, accs = _train_logging_checkpoints(monkeypatch, _latent_ds(0.7), cfg, 3)
+    best = accs.index(max(accs))
+    best_t = (best + 1) * cfg.checkpoint_every
+    assert model.val_accuracy == accs[best] < 1.0
+    assert _PATIENCE == 3
+    assert len(model.loss_curve) == best_t + 3 * cfg.checkpoint_every < cfg.iters
+
+
+def test_train_that_keeps_improving_runs_to_iters(monkeypatch):
+    cfg = MlpConfig(hidden_dims=(16,), iters=400, checkpoint_every=25)
+    ds = _three_class_ds(n=2000, env_shift=2.0)
+    model, accs = _train_logging_checkpoints(monkeypatch, ds, cfg, 3)
+    assert len(model.loss_curve) == cfg.iters and len(accs) == 16
+    # the last checkpoint still gains, below the exact 1.0
+    assert max(accs[:-1]) < accs[-1] == model.val_accuracy < 1.0
 
 
 def test_train_loss_decreases():

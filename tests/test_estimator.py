@@ -487,6 +487,23 @@ def test_pipeline_same_at_any_worker_count(monkeypatch):
     assert per_run[1] == per_run[2] == serial
 
 
+def test_run_estimator_draws_do_not_depend_on_training_length(monkeypatch):
+    # a training that consumes more draws from the run's Rng leaves the
+    # estimator's folds and evaluation subset, on a stream of their own, alone
+    ds, mlp, est = _pipeline_setup()
+    est = dataclasses.replace(est, n_mc_samples=300)
+    before = estimator._run(ds, mlp, est, 44)[0]
+    real_train = estimator.train
+
+    def longer_train(ds, cfg, rng):
+        model = real_train(ds, cfg, rng)
+        rng.random(1000)
+        return model
+
+    monkeypatch.setattr(estimator, "train", longer_train)
+    assert estimator._run(ds, mlp, est, 44)[0] == before
+
+
 def test_map_keeps_item_order():
     def task(i):
         # later items finish first on a pool of two or more threads
