@@ -7,8 +7,6 @@ diversity/correlation decomposition; they conflate the two kinds of shift.
 import math
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
-from scipy.spatial.distance import cdist
 
 from .data import Rng
 from .datagen import gen_colored
@@ -91,6 +89,10 @@ def mmd(F_tr, F_te, rng=None):
 def emd(F_tr, F_te, rng=None):
     """1-Wasserstein distance between equal-size subsamples via exact
     min-cost matching, normalized by sqrt(feature dimension)."""
+    # imported on first use: only compare pays for loading scipy
+    from scipy.optimize import linear_sum_assignment
+    from scipy.spatial.distance import cdist
+
     pooled, n = _pooled_subsamples(F_tr, F_te, rng or Rng(0))
     cost = cdist(pooled[:n], pooled[n:])
     rows, cols = linear_sum_assignment(cost)

@@ -120,12 +120,23 @@ def load_csv(path):
 
 
 def save_csv(ds, path):
-    """Write a dataset as CSV; floats carry 17 significant digits."""
+    """Write a dataset as CSV with header ``env,label,x0,...,x{d-1}``. Every
+    line ends in CRLF, as the csv module writes it, and every feature cell
+    is ``%.17g``, 17 significant digits, so it reads back exactly.
+
+    Raises ValueError, before the file is opened, when a feature is not
+    finite: load_csv refuses such a cell.
+    """
+    # a column's min and max carry any nan or inf in it
+    finite = np.isfinite(ds.features.min(axis=0)) & np.isfinite(ds.features.max(axis=0))
+    if not finite.all():
+        raise ValueError(f"feature x{int(np.argmin(finite))} is not finite")
+    row = ",".join(["%d", "%d"] + ["%.17g"] * ds.n_dims) + "\r\n"
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["env", "label"] + [f"x{i}" for i in range(ds.n_dims)])
-        for env, label, feats in zip(ds.envs, ds.labels, ds.features):
-            writer.writerow([int(env), int(label)] + [f"{v:.17g}" for v in feats])
+        fh.write(",".join(["env", "label"] + [f"x{i}" for i in range(ds.n_dims)]) + "\r\n")
+        # one row's floats at a time: a whole-matrix tolist() would hold them all
+        for env, label, feats in zip(ds.envs.tolist(), ds.labels.tolist(), ds.features):
+            fh.write(row % (env, label, *feats.tolist()))
 
 
 def split_train_val(n, frac, rng):

@@ -7,7 +7,6 @@ per dimension with a small floor so duplicate points stay finite.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
 _BANDWIDTH_FLOOR = 1e-6
 _LOG_2PI = np.log(2.0 * np.pi)
@@ -39,6 +38,9 @@ def kde_fit(F):
 def kde_logpdf(model, Z):
     """Log-density at query points (log-sum-exp over kernel centers), scored
     _CHUNK queries at a time."""
+    # imported on first use, so the commands that score no KDE skip scipy
+    from scipy.special import logsumexp
+
     Z = np.asarray(Z, dtype=np.float64)
     single = Z.ndim == 1
     if single:

@@ -23,21 +23,27 @@ def test_all_is_explicit_and_covers_readme_entry_points():
 
 
 def test_no_unused_imports():
-    # every name a module imports at module level is read somewhere in it;
-    # __init__.py imports only to re-export
+    # every name an import binds, at module level or in a function body, is
+    # read somewhere in that module or function; __init__.py imports only to
+    # re-export
     src = Path(oodshift.__file__).parent
     unused = []
     for path in sorted(src.glob("*.py")):
         if path.name == "__init__.py":
             continue
         tree = ast.parse(path.read_text())
-        imported = {
-            (alias.asname or alias.name).split(".")[0]
-            for node in tree.body if isinstance(node, (ast.Import, ast.ImportFrom))
-            for alias in node.names
-        }
-        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
-        unused += [f"{path.name}: {name}" for name in sorted(imported - read)]
+        functions = [node for node in ast.walk(tree)
+                     if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))]
+        for scope in [tree, *functions]:
+            imported = {
+                (alias.asname or alias.name).split(".")[0]
+                for node in (tree.body if scope is tree else ast.walk(scope))
+                if isinstance(node, (ast.Import, ast.ImportFrom))
+                for alias in node.names
+            }
+            read = {node.id for node in ast.walk(scope) if isinstance(node, ast.Name)}
+            where = f"{path.name}:{getattr(scope, 'name', '<module>')}"
+            unused += [f"{where}: {name}" for name in sorted(imported - read)]
     assert not unused, unused
 
 

@@ -4,10 +4,15 @@ import argparse
 import csv
 import dataclasses
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import oodshift
 from oodshift import ColoredSpec, EstimatorConfig, LatentSpec, MlpConfig, latent_spec_a, load_csv
 from oodshift.cli import _JSON_TYPES, build_parser, main
 from oodshift import estimator
@@ -70,6 +75,16 @@ def test_generate_spec_json_rebuilds_latent_spec(tmp_path):
     back, want = LatentSpec(**doc), latent_spec_a()
     for name in doc:
         assert np.array_equal(getattr(back, name), getattr(want, name))
+
+
+def test_generate_irm_cmnist_rerun_byte_identical(tmp_path):
+    def run(name):
+        out = tmp_path / name
+        assert main(["generate", "--preset", "irm-cmnist", "--n-per-env", "50",
+                     "--seed", "3", "--out", str(out)]) == 0
+        return (out / "data.csv").read_bytes()
+
+    assert run("run1") == run("run2")
 
 
 # ---------------------------------------------------------------------------
@@ -190,6 +205,49 @@ def test_compare_zero_runs_exit_2(tmp_path, capsys):
     rc = main(["compare", "--runs", "0", "--out", str(tmp_path / "out")])
     assert rc == 2
     assert "n_runs" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# scipy is imported on first use, by emd and the kde_* functions only
+
+_SCIPY_PROBE = """
+import json, sys
+import oodshift, oodshift.cli
+for argv in json.loads(sys.argv[1]):
+    assert oodshift.cli.main(argv) == 0, argv
+print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
+"""
+
+
+def _scipy_modules_after(*commands):
+    """The scipy modules loaded once a fresh interpreter has imported the
+    package and run commands through cli.main."""
+    src = str(Path(oodshift.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run([sys.executable, "-c", _SCIPY_PROBE, json.dumps(commands)],
+                          env=env, capture_output=True, text=True, timeout=600)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def test_commands_but_compare_never_import_scipy(tmp_path):
+    out = str(tmp_path)
+    assert _scipy_modules_after(
+        ["generate", "--preset", "irm-cmnist", "--n-per-env", "20", "--out", f"{out}/gen"],
+        ["estimate", "--preset", "latent-a", "--n-per-env", "50", "--runs", "1",
+         "--iters", "20", "--mc-samples", "100", "--out", f"{out}/est"],
+        ["sweep", "--preset", "iid", "--grid", "0.5", "--n-per-env", "20", "--iters", "5",
+         "--mc-samples", "50", "--out", f"{out}/sweep"],
+        ["score", "--fixture", "diversity"],
+    ) == []
+
+
+def test_compare_imports_scipy(tmp_path):
+    modules = _scipy_modules_after(
+        ["compare", "--n-per-env", "30", "--runs", "1", "--iters", "5", "--mc-samples", "50",
+         "--out", str(tmp_path / "cmp")],
+    )
+    assert {"scipy.optimize", "scipy.spatial"} <= set(modules)
 
 
 # ---------------------------------------------------------------------------

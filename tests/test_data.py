@@ -1,9 +1,16 @@
 """Tests for the dataset container, seeded RNG, and file I/O."""
 
+import csv
 import re
+import tempfile
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from oodshift import LabeledDataset, Rng, load_csv, save_csv, split_train_val
 from oodshift.data import ParseError
@@ -193,6 +200,71 @@ def test_csv_inconsistent_width_names_line(tmp_path):
     path.write_text("env,label,x0,x1\n0,0,1.0,2.0\n0,0,1.0\n")
     with pytest.raises(ParseError, match="line 3"):
         load_csv(path)
+
+
+def _csv_writer_save_csv(ds, path):
+    # the csv.writer formulation of save_csv: CRLF rows, f"{v:.17g}" cells
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["env", "label"] + [f"x{i}" for i in range(ds.n_dims)])
+        for env, label, feats in zip(ds.envs, ds.labels, ds.features):
+            writer.writerow([int(env), int(label)] + [f"{v:.17g}" for v in feats])
+
+
+_FINITE = st.one_of(
+    st.sampled_from([-0.0, 0.0, 5e-324, -5e-324, 1e308, -1e308, 2.2250738585072014e-308]),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
+@st.composite
+def _datasets(draw):
+    n = draw(st.integers(1, 12))
+    d = draw(st.integers(0, 7))
+    return LabeledDataset(
+        draw(arrays(np.float64, (n, d), elements=_FINITE)),
+        draw(arrays(np.int64, n, elements=st.integers(0, 10**6))),
+        draw(arrays(np.int64, n, elements=st.integers(0, 1))),
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(_datasets())
+def test_save_csv_bytes_match_csv_writer(ds):
+    with tempfile.TemporaryDirectory() as tmp:
+        got, want = Path(tmp, "got.csv"), Path(tmp, "want.csv")
+        save_csv(ds, got)
+        _csv_writer_save_csv(ds, want)
+        assert got.read_bytes() == want.read_bytes()
+        back = load_csv(got)
+        assert back.features.tobytes() == ds.features.tobytes()  # -0.0 too
+        assert np.array_equal(back.labels, ds.labels)
+        assert np.array_equal(back.envs, ds.envs)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_save_csv_rejects_non_finite_feature_before_writing(tmp_path, value):
+    feats = np.zeros((3, 4))
+    feats[2, 3] = feats[1, 2] = value
+    ds = LabeledDataset(feats, [0, 1, 0], [0, 1, 1])
+    path = tmp_path / "d.csv"
+    with pytest.raises(ValueError, match=r"feature x2 is not finite"):
+        save_csv(ds, path)
+    assert not path.exists()
+
+
+def test_save_csv_peak_memory_one_row_at_a_time(tmp_path):
+    # 500 x 588 floats as Python objects would take about 9 MB at once
+    r = Rng(5)
+    ds = LabeledDataset(r.uniform(size=(500, 588)), r.integers(0, 2, 500),
+                        r.integers(0, 2, 500))
+    tracemalloc.start()
+    try:
+        save_csv(ds, tmp_path / "d.csv")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 # ---------------------------------------------------------------------------
