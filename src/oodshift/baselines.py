@@ -86,13 +86,19 @@ def mmd(F_tr, F_te, rng=None):
     return math.sqrt(max(0.0, mmd2))
 
 
-def emd(F_tr, F_te, rng=None):
-    """1-Wasserstein distance between equal-size subsamples via exact
-    min-cost matching, normalized by sqrt(feature dimension)."""
-    # imported on first use: only compare pays for loading scipy
+def _emd_scipy():
+    """scipy's (linear_sum_assignment, cdist), imported on first use: only
+    compare pays for loading scipy."""
     from scipy.optimize import linear_sum_assignment
     from scipy.spatial.distance import cdist
 
+    return linear_sum_assignment, cdist
+
+
+def emd(F_tr, F_te, rng=None):
+    """1-Wasserstein distance between equal-size subsamples via exact
+    min-cost matching, normalized by sqrt(feature dimension)."""
+    linear_sum_assignment, cdist = _emd_scipy()
     pooled, n = _pooled_subsamples(F_tr, F_te, rng or Rng(0))
     cost = cdist(pooled[:n], pooled[n:])
     rows, cols = linear_sum_assignment(cost)
@@ -153,6 +159,8 @@ def compare_table(specs, mlp_cfg, est_cfg, base_seed):
             *_run(ds, mlp_cfg, est_cfg, seed)[0],
         )
 
+    # loaded once here, before the workers fork, rather than once in each
+    _emd_scipy()
     runs = _map(run, _compare_tasks(specs, est_cfg.n_runs, base_seed))
     records = []
     for spec, (mean, stderr) in zip(specs, _mean_stderr(runs, est_cfg.n_runs)):

@@ -13,15 +13,15 @@ cross-fitted so that a zero gap reads 0 on average.
 `estimate_pipeline`, `sweep` and `baselines.compare_table` each build one
 flat list of (source, seed) tasks: a dataset, or the (spec, data_seed) pair
 that draws it, and the seed of one run. `_check_tasks` checks such a list
-without training; one call of the executor `_map` runs it, each task on one
-BLAS thread, and the results are grouped n_runs at a time.
+without training; one call of the executor `_map` runs it on forked worker
+processes, each task on one BLAS thread, and the results are grouped n_runs
+at a time.
 """
 
 import ctypes
 import math
 import os
 import threading
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from functools import cache
@@ -38,6 +38,8 @@ from .discriminator import _split_cells, extract, train
 _EPS = 1e-2
 # kernel entries per block of rows: 4 MiB of float64
 _BLOCK = 1 << 19
+# kernel entries per sub-block of the elementwise steps: 512 KiB, within L2
+_SUB_BLOCK = 1 << 16
 # the kernel bandwidth, in pooled standard deviations, is this times n0^(-1/(m+4))
 _BANDWIDTH_SCALE = 0.7
 
@@ -121,26 +123,7 @@ def estimate(F_tr, F_te, labels_tr, labels_te, cfg, rng):
     # the evaluation points: the pool is an exact sample of the mixture w
     M = cfg.n_mc_samples
     at = np.arange(n) if n <= M else rng.choice(n, M, replace=False)
-    sq = np.sum(Z**2, axis=1)
-    S = np.empty((at.size, 4 * C))
-    rows = max(1, _BLOCK // n)
-    buf = np.empty((min(rows, at.size), n))
-    for start in range(0, at.size, rows):
-        i = at[start : start + rows]
-        k = np.matmul(Z[i], Z.T, out=buf[: i.size])
-        k *= -2.0
-        k += sq
-        k += sq[i, None]
-        np.maximum(k, 0.0, out=k)
-        # leave the point itself out; shifting each row by its nearest
-        # neighbour's distance changes no ratio used below and keeps an
-        # isolated point's sums from underflowing to 0
-        k[np.arange(i.size), i] = np.inf
-        k -= k.min(axis=1, keepdims=True)
-        k *= -0.5
-        np.exp(k, out=k)
-        S[start : start + rows] = k @ groups
-    S = S.reshape(-1, 2, 2, C)
+    S = _kernel_sums(Z, at, groups).reshape(-1, 2, 2, C)
 
     # p, q and w at each evaluation point, up to one common factor per point
     env_mass = S.sum(axis=(1, 3))
@@ -163,6 +146,37 @@ def estimate(F_tr, F_te, labels_tr, labels_te, cfg, rng):
     frac_div = float(div.mean())
     diagnostics = {"frac_div_region": frac_div, "frac_cor_region": 1.0 - frac_div}
     return d_div, d_cor, diagnostics
+
+
+def _kernel_sums(Z, at, groups):
+    """Row i: the Gaussian kernel at Z[at[i]] against every other row of Z,
+    weighted by groups (rows, k); a row's self term is left out, and the
+    row is shifted by its nearest neighbour's squared distance."""
+    n = Z.shape[0]
+    sq = np.sum(Z**2, axis=1)
+    S = np.empty((at.size, groups.shape[1]))
+    rows, sub = max(1, _BLOCK // n), max(1, _SUB_BLOCK // n)
+    buf = np.empty((min(rows, at.size), n))
+    for start in range(0, at.size, rows):
+        block = at[start : start + rows]
+        K = np.matmul(Z[block], Z.T, out=buf[: block.size])
+        # a matmul's last bits depend on its row count, so both keep the
+        # block's shape; the steps between run a few rows at a time, in cache
+        for first in range(0, block.size, sub):
+            i, k = block[first : first + sub], K[first : first + sub]
+            k *= -2.0
+            k += sq
+            k += sq[i, None]
+            np.maximum(k, 0.0, out=k)
+            # leave the point itself out; shifting each row by its nearest
+            # neighbour's distance changes no ratio used below and keeps an
+            # isolated point's sums from underflowing to 0
+            k[np.arange(i.size), i] = np.inf
+            k -= k.min(axis=1, keepdims=True)
+            k *= -0.5
+            np.exp(k, out=k)
+        S[start : start + rows] = K @ groups
+    return S
 
 
 def _classes(labels_tr, labels_te):
@@ -236,20 +250,48 @@ def _n_workers(n_items):
 # the BLAS thread count is process-wide, so calls from different threads of
 # the caller take turns
 _map_lock = threading.Lock()
+# (fn, items) of the pool being started: forked workers inherit it, so
+# neither fn nor an item is pickled, only each task's index and result
+_job = None
+
+
+def _task(i):
+    fn, items = _job
+    return fn(items[i])
 
 
 def _map(fn, items):
-    """[fn(item) for item in items], run on a thread pool of one thread per
+    """[fn(item) for item in items], run on forked worker processes, one per
     core, each task on one BLAS thread, so the results do not depend on the
     core count; without the BLAS library it runs inline. A task must not call
     _map: the call would wait for the lock its caller holds."""
+    global _job
     with _map_lock, _one_blas_thread() as capped:
         workers = _n_workers(len(items)) if capped else 1
         if workers <= 1:
             return [fn(item) for item in items]
-        # on the first task that raises, map cancels the tasks not yet started
-        with ThreadPoolExecutor(workers) as pool:
-            return list(pool.map(fn, items))
+        # imported here, where a pool starts: loading multiprocessing costs
+        # 15-20 ms, which every command would pay at start-up
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
+        # hand the caller's freed heap back to the system before the fork
+        # (glibc only): a worker that reused an inherited free page would copy
+        # it while the caller kept its own; on the benchmark's estimate --data
+        # this took 17 MiB off the total PSS
+        trim = getattr(ctypes.CDLL(None), "malloc_trim", None)
+        if trim is not None:
+            trim.argtypes, trim.restype = [ctypes.c_size_t], ctypes.c_int
+            trim(0)
+        _job = fn, items
+        try:
+            # the workers fork with BLAS at one thread; on the first task that
+            # raises, map cancels the tasks not yet started, and a worker that
+            # dies breaks the pool, which raises, in place of a hang
+            with ProcessPoolExecutor(workers, multiprocessing.get_context("fork")) as pool:
+                return list(pool.map(_task, range(len(items))))
+        finally:
+            _job = None
 
 
 def _dataset(source):
@@ -277,20 +319,13 @@ def _check_tasks(tasks):
     cell in the split that Rng(seed) draws first, or a class with under 2
     rows in an environment. Consecutive tasks that share one source object
     share one dataset, made once; one dataset is held at a time."""
-
-    def check():
-        source = ds = None
-        for task_source, seed in tasks:
-            if task_source is not source:
-                source, ds = task_source, None
-                ds = _dataset(source)
-            _split_cells(ds, Rng(seed))
-            _classes(ds.labels[ds.envs == 0], ds.labels[ds.envs != 0])
-
-    # run on a thread of its own, whose malloc arena the runs' threads reuse;
-    # on the calling thread, the freed datasets added 10 MiB to compare's peak RSS
-    with ThreadPoolExecutor(1) as pool:
-        pool.submit(check).result()
+    source = ds = None
+    for task_source, seed in tasks:
+        if task_source is not source:
+            source, ds = task_source, None
+            ds = _dataset(source)
+        _split_cells(ds, Rng(seed))
+        _classes(ds.labels[ds.envs == 0], ds.labels[ds.envs != 0])
 
 
 def _pipeline_tasks(ds, n_runs, base_seed):

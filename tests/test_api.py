@@ -49,7 +49,8 @@ def test_no_unused_imports():
 
 def test_one_run_executor():
     # estimator._map is the one way to execute runs: no other module imports
-    # ThreadPoolExecutor, or reaches it as an attribute
+    # a process or thread pool, or multiprocessing, or reaches one as an
+    # attribute
     src = Path(oodshift.__file__).parent
     users = []
     for path in sorted(src.glob("*.py")):
@@ -60,7 +61,7 @@ def test_one_run_executor():
             for alias in node.names
         }
         names |= {node.attr for node in nodes if isinstance(node, ast.Attribute)}
-        if "ThreadPoolExecutor" in names:
+        if names & {"ProcessPoolExecutor", "ThreadPoolExecutor", "multiprocessing"}:
             users.append(path.name)
     assert users == ["estimator.py"], users
 

@@ -15,7 +15,7 @@ import pytest
 import oodshift
 from oodshift import ColoredSpec, EstimatorConfig, LatentSpec, MlpConfig, latent_spec_a, load_csv
 from oodshift.cli import _JSON_TYPES, build_parser, main
-from oodshift import estimator
+from oodshift import cli, estimator
 from oodshift.estimator import _openblas
 
 FAST_MLP = {"hidden_dims": [16], "iters": 100, "checkpoint_every": 50}
@@ -208,23 +208,24 @@ def test_compare_zero_runs_exit_2(tmp_path, capsys):
 
 
 # ---------------------------------------------------------------------------
-# scipy is imported on first use, by emd and the kde_* functions only
+# scipy is imported on first use, by emd and the kde_* functions only, and
+# multiprocessing when a pool of workers starts
 
-_SCIPY_PROBE = """
+_PROBE = """
 import json, sys
 import oodshift, oodshift.cli
 for argv in json.loads(sys.argv[1]):
     assert oodshift.cli.main(argv) == 0, argv
-print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
+print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == sys.argv[2])))
 """
 
 
-def _scipy_modules_after(*commands):
-    """The scipy modules loaded once a fresh interpreter has imported the
-    package and run commands through cli.main."""
+def _modules_after(package, *commands):
+    """The modules of package loaded once a fresh interpreter has imported
+    oodshift and run commands through cli.main."""
     src = str(Path(oodshift.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    proc = subprocess.run([sys.executable, "-c", _SCIPY_PROBE, json.dumps(commands)],
+    proc = subprocess.run([sys.executable, "-c", _PROBE, json.dumps(commands), package],
                           env=env, capture_output=True, text=True, timeout=600)
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout.splitlines()[-1])
@@ -232,7 +233,8 @@ def _scipy_modules_after(*commands):
 
 def test_commands_but_compare_never_import_scipy(tmp_path):
     out = str(tmp_path)
-    assert _scipy_modules_after(
+    assert _modules_after(
+        "scipy",
         ["generate", "--preset", "irm-cmnist", "--n-per-env", "20", "--out", f"{out}/gen"],
         ["estimate", "--preset", "latent-a", "--n-per-env", "50", "--runs", "1",
          "--iters", "20", "--mc-samples", "100", "--out", f"{out}/est"],
@@ -242,8 +244,13 @@ def test_commands_but_compare_never_import_scipy(tmp_path):
     ) == []
 
 
+def test_cli_import_loads_no_multiprocessing():
+    assert _modules_after("multiprocessing") == []
+
+
 def test_compare_imports_scipy(tmp_path):
-    modules = _scipy_modules_after(
+    modules = _modules_after(
+        "scipy",
         ["compare", "--n-per-env", "30", "--runs", "1", "--iters", "5", "--mc-samples", "50",
          "--out", str(tmp_path / "cmp")],
     )
@@ -436,19 +443,37 @@ def test_data_size_error_of_any_run_exit_2_before_out(tmp_path, capsys, n_rare, 
 
 def test_sweep_generates_each_cell_once_in_the_check(tmp_path, monkeypatch):
     # 4 cells of 3 runs: the check makes each cell's dataset once, the tasks
-    # once per run
-    calls = []
-    real_gen = estimator.gen_colored
+    # once per run. The tasks run in worker processes, whose calls never reach
+    # this list, so each task returns its own count as its d_div
+    calls, checked = [], []
+    real_gen, real_sweep = estimator.gen_colored, cli.sweep
 
     def counting_gen(*args):
         calls.append(args)
         return real_gen(*args)
 
+    def counting_sweep(*args):
+        # the check has run, and the tasks have not started
+        checked.append(len(calls))
+        calls.clear()
+        return real_sweep(*args)
+
+    def reporting_run(ds, mlp_cfg, est_cfg, seed):
+        made = len(calls)
+        calls.clear()
+        return (float(made), 0.0), 1.0, {}
+
     monkeypatch.setattr(estimator, "gen_colored", counting_gen)
+    monkeypatch.setattr(cli, "sweep", counting_sweep)
+    monkeypatch.setattr(estimator, "_run", reporting_run)
     rc = main(["sweep", "--preset", "irm-cmnist", "--n-per-env", "150", "--iters", "60",
                "--grid", "0.2", "0.8", "--runs", "3", "--out", str(tmp_path / "out")])
     assert rc == 0
-    assert len(calls) == 4 + 12
+    assert checked == [4]
+    with open(tmp_path / "out" / "sweep.csv", newline="") as f:
+        cells = list(csv.DictReader(f))
+    # a mean of 1 with no spread: each of the cell's 3 runs made one call
+    assert [(float(c["d_div"]), float(c["stderr_div"])) for c in cells] == [(1.0, 0.0)] * 4
 
 
 @pytest.mark.parametrize("command", ["estimate", "compare", "sweep"])

@@ -1,6 +1,8 @@
 """Tests for the shift oracle and the kernel estimator."""
 
 import dataclasses
+import multiprocessing
+import os
 import threading
 import time
 import warnings
@@ -337,6 +339,46 @@ def test_estimate_matches_reference_loops(monkeypatch, M):
     assert got[:2] == pytest.approx(want, rel=1e-9, abs=1e-12)
 
 
+def _whole_block_kernel_sums(Z, at, groups):
+    # the kernel pass with every step on the whole block of rows, as it was
+    # before the elementwise steps ran on sub-blocks
+    n = Z.shape[0]
+    sq = np.sum(Z**2, axis=1)
+    S = np.empty((at.size, groups.shape[1]))
+    rows = max(1, estimator._BLOCK // n)
+    buf = np.empty((min(rows, at.size), n))
+    for start in range(0, at.size, rows):
+        i = at[start : start + rows]
+        k = np.matmul(Z[i], Z.T, out=buf[: i.size])
+        k *= -2.0
+        k += sq
+        k += sq[i, None]
+        np.maximum(k, 0.0, out=k)
+        k[np.arange(i.size), i] = np.inf
+        k -= k.min(axis=1, keepdims=True)
+        k *= -0.5
+        np.exp(k, out=k)
+        S[start : start + rows] = k @ groups
+    return S
+
+
+@pytest.mark.parametrize("n, m, n_at", [(8003, 1, 8003), (6001, 8, 5000), (1003, 3, 1003),
+                                        (70, 2, 30)])
+def test_kernel_sums_match_whole_block_steps_bit_for_bit(n, m, n_at):
+    # pools that are not a multiple of 8 rows leave a short last sub-block in
+    # every block, and a short last block
+    r = Rng(n)
+    Z = r.normal(0.0, 1.0, (n, m))
+    at = np.arange(n) if n_at == n else r.choice(n, n_at, replace=False)
+    groups = np.eye(8)[r.integers(0, 8, n)]
+    # a matmul's last bits depend on the BLAS thread count, so both passes
+    # run on one thread, as every run does
+    with estimator._one_blas_thread():
+        want = _whole_block_kernel_sums(Z, at, groups)
+        got = estimator._kernel_sums(Z, at, groups)
+    assert got.tobytes() == want.tobytes()
+
+
 @pytest.mark.parametrize(
     "spec", [latent_spec_a(), random_latent_spec(Rng(14), 3, 3)], ids=["latent-a", "random"]
 )
@@ -513,6 +555,53 @@ def test_map_keeps_item_order():
     assert estimator._map(task, range(5)) == list(range(5))
 
 
+def _two_workers(monkeypatch):
+    # a pool of two even on one core; without numpy's OpenBLAS _map runs
+    # inline, where the tests that do not skip hold all the same
+    monkeypatch.setattr(estimator, "_n_workers", lambda n: min(n, 2))
+
+
+def test_map_runs_tasks_on_worker_processes(monkeypatch):
+    if estimator._openblas() is None:
+        pytest.skip("numpy's bundled OpenBLAS not found")
+    _two_workers(monkeypatch)
+    pids = estimator._map(lambda _: os.getpid(), range(4))
+    assert os.getpid() not in pids
+
+
+def test_map_reraises_a_task_error_with_its_type_and_message(monkeypatch):
+    _two_workers(monkeypatch)
+
+    def task(i):
+        if i == 2:
+            raise ValueError(f"task {i} failed")
+        return i
+
+    with pytest.raises(ValueError) as exc:
+        estimator._map(task, range(4))
+    assert type(exc.value) is ValueError and str(exc.value) == "task 2 failed"
+
+
+def test_map_leaves_no_worker_processes(monkeypatch):
+    _two_workers(monkeypatch)
+    assert estimator._map(abs, [-1, -2, -3]) == [1, 2, 3]
+    assert multiprocessing.active_children() == []
+    with pytest.raises(ValueError):
+        estimator._map(int, ["1", "x", "3"])
+    assert multiprocessing.active_children() == []
+
+
+def test_map_raises_when_a_worker_dies(monkeypatch):
+    # a worker killed mid-task (say, out of memory) fails the call, with an
+    # error the CLI maps to exit 1, rather than leaving it waiting
+    if estimator._openblas() is None:
+        pytest.skip("numpy's bundled OpenBLAS not found")
+    _two_workers(monkeypatch)
+    with pytest.raises(RuntimeError):
+        estimator._map(lambda i: os._exit(1) if i == 1 else i, range(4))
+    assert multiprocessing.active_children() == []
+
+
 def _blas_threads():
     return estimator._openblas().scipy_openblas_get_num_threads64_()
 
@@ -530,17 +619,19 @@ def blas_at_two():
 
 
 def test_blas_threads_capped_in_runs_and_restored(monkeypatch, blas_at_two):
-    seen = []
-    real_train = estimator.train
+    # runs execute in worker processes, so each returns the count it saw in
+    # place of its validation accuracy
+    real_run = estimator._run
 
-    def counting_train(*args):
-        seen.append(_blas_threads())
-        return real_train(*args)
+    def reporting_run(*args):
+        blas = _blas_threads()
+        d, _, diag = real_run(*args)
+        return d, blas, diag
 
-    monkeypatch.setattr(estimator, "train", counting_train)
+    monkeypatch.setattr(estimator, "_run", reporting_run)
     ds, mlp, est = _pipeline_setup()
-    estimate_pipeline(ds, mlp, est, base_seed=45)
-    assert seen == [1] * est.n_runs
+    result = estimate_pipeline(ds, mlp, est, base_seed=45)
+    assert result.diagnostics["val_accuracy_per_run"] == [1] * est.n_runs
     assert _blas_threads() == 2
 
 
